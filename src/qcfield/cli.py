@@ -37,10 +37,12 @@ class ConfigError(ValueError):
     pass
 
 
-_FLOAT_KEYS = {"tol_energy", "tol_residual", "tol_gap", "tol_grad", "delta",
-               "tail0", "scale"}
+_FLOAT_KEYS = {"tol_energy", "tol_residual", "tol_gap", "delta", "tail0"}
 _INT_KEYS = {"seed", "max_iter", "n_starts", "n_max", "n_samples",
-             "min_shells", "max_atoms"}
+             "min_shells"}
+# every key of docs/run_config_schema.txt
+_KNOWN_KEYS = _FLOAT_KEYS | _INT_KEYS | {"command", "model", "out_dir",
+                                         "eps_list", "export_kernel"}
 _DEFAULTS = {
     "seed": 0,
     "tol_energy": 1e-10,
@@ -66,16 +68,22 @@ def parse_run_config(path: Path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (s.strip() for s in line.split("=", 1))
-        if key in _FLOAT_KEYS:
-            cfg[key] = float(value)
-        elif key in _INT_KEYS:
-            cfg[key] = int(value)
-        elif key == "eps_list":
-            cfg[key] = [float(v) for v in value.split(",") if v.strip()]
-        elif key == "export_kernel":
-            cfg[key] = value.lower() in ("1", "true", "yes")
-        else:
-            cfg[key] = value
+        if key not in _KNOWN_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            if key in _FLOAT_KEYS:
+                cfg[key] = float(value)
+            elif key in _INT_KEYS:
+                cfg[key] = int(value)
+            elif key == "eps_list":
+                cfg[key] = [float(v) for v in value.split(",") if v.strip()]
+            elif key == "export_kernel":
+                cfg[key] = value.lower() in ("1", "true", "yes")
+            else:
+                cfg[key] = value
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: bad value {value!r} for "
+                              f"{key}") from None
     if "command" not in cfg:
         raise ConfigError("config must set 'command'")
     if cfg["command"] not in COMMANDS:

@@ -19,18 +19,15 @@ from functools import cached_property
 from math import comb, ceil
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.special import gammainc, gammaln
 
-from .errors import CapacityError, SolverError, TruncationError
+from .errors import CapacityError, TruncationError
+from .minimize import EIG_RESIDUAL_TOL, lowest_eigenpair
 from .model import ModelSpec, mode_norm
 from .qc_energy import (FieldAmplitudes, WaveFunction, assemble_k0,
                         momentum_matrix, qc_energy)
 
-DENSE_FOCK_CUTOFF = 1600
-EIG_RESIDUAL_TOL = 1e-9
 DEFAULT_DIMENSION_CAP = 3_000_000
 COHERENT_TAIL_TOL = 1e-8
 UNRELIABLE_TAIL = 1e-3
@@ -183,26 +180,11 @@ def ground_energy_eps(h: sp.spmatrix,
                       residual_tol: float = EIG_RESIDUAL_TOL):
     """Lowest eigenvalue of the quantized Hamiltonian, with its eigenvector.
 
-    Deterministic: dense solve at small dimension, otherwise Lanczos from the
-    normalized all-ones vector with full reorthogonalization handled by the
-    underlying implicitly restarted iteration.
+    The solve is minimize.lowest_eigenpair's: real arithmetic for a real
+    H_eps, dense at small dimension, shift-invert Lanczos when H_eps is
+    narrow-banded and plain Lanczos otherwise; deterministic on every path.
     """
-    n = h.shape[0]
-    if n <= DENSE_FOCK_CUTOFF:
-        vals, vecs = scipy.linalg.eigh(h.toarray())
-        e0, v0 = float(vals[0]), vecs[:, 0]
-    else:
-        start = np.ones(n) / np.sqrt(n)
-        try:
-            vals, vecs = spla.eigsh(h, k=1, which="SA", v0=start,
-                                    maxiter=50 * n)
-        except spla.ArpackNoConvergence as exc:
-            raise SolverError(f"Fock eigensolver did not converge: {exc}") from exc
-        e0, v0 = float(vals[0]), vecs[:, 0]
-    residual = float(np.linalg.norm(h @ v0 - e0 * v0))
-    if residual > residual_tol:
-        raise SolverError("Fock ground-state residual too large", residual)
-    return e0, v0
+    return lowest_eigenpair(h, residual_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import SolverError
@@ -24,7 +25,7 @@ from .qc_energy import (ELResiduals, FieldAmplitudes, ParticleOperator,
                         eta_to_z, field_eta, qc_energy_eta,
                         random_wavefunction)
 
-DENSE_EIG_CUTOFF = 900
+DENSE_EIG_CUTOFF = 200
 EIG_RESIDUAL_TOL = 1e-9
 DEFAULT_TOL_ENERGY = 1e-10
 DEFAULT_TOL_RESIDUAL = 1e-7
@@ -41,31 +42,85 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
     return vec / phase
 
 
+def _half_bandwidth(mat: sp.csr_matrix) -> int:
+    """Largest |i - j| over the stored entries (i, j) of a CSR matrix."""
+    rows = np.flatnonzero(np.diff(mat.indptr))
+    if rows.size == 0:
+        return 0
+    starts = mat.indptr[rows]
+    lo = np.minimum.reduceat(mat.indices, starts)
+    hi = np.maximum.reduceat(mat.indices, starts)
+    return int(max(np.max(rows - lo), np.max(hi - rows)))
+
+
+def _shift_below_spectrum(mat: sp.csr_matrix) -> float:
+    """A Gershgorin lower bound on the spectrum, pushed strictly below it.
+
+    The push keeps the shifted matrix nonsingular where the bound is attained
+    (a diagonal matrix), yet is small against the spectral spread, so the
+    lowest eigenvalue stays well separated from the rest after inversion.
+    """
+    diag = mat.diagonal().real
+    radius = np.asarray(abs(mat).sum(axis=1)).ravel() - np.abs(diag)
+    lower = float(np.min(diag - radius))
+    upper = float(np.max(diag + radius))
+    return lower - 1e-6 * max(upper - lower, abs(lower), 1.0)
+
+
+def lowest_eigenpair(matrix: sp.spmatrix,
+                     residual_tol: float = EIG_RESIDUAL_TOL):
+    """Smallest eigenvalue and phase-fixed unit eigenvector of a sparse
+    Hermitian matrix; the one ground solver behind ground_eigenpair and
+    fock.ground_energy_eps.
+
+    Real arithmetic when every stored entry is real.  Dense eigh of the
+    lowest pair up to DENSE_EIG_CUTOFF; above it, with half-bandwidth b,
+    shift-invert Lanczos about a Gershgorin lower bound when b^2 <= n (the
+    LU factor of a banded matrix stays small) and plain Lanczos on the
+    smallest algebraic end otherwise.  Both iterations start from the
+    normalized all-ones vector, so the result is deterministic.  The
+    residual is checked on the matrix as given.
+    """
+    mat = matrix.tocsr()
+    n = mat.shape[0]
+    work = mat.real if not np.any(mat.data.imag) else mat
+    if n <= DENSE_EIG_CUTOFF:
+        vals, vecs = scipy.linalg.eigh(work.toarray(), subset_by_index=[0, 0])
+    else:
+        start = np.ones(n) / np.sqrt(n)
+        kwargs = dict(k=1, v0=start, maxiter=50 * n)
+        if _half_bandwidth(work) ** 2 <= n:
+            sigma = _shift_below_spectrum(work)
+            shifted = (work - sigma * sp.identity(n, format="csr")).tocsc()
+            try:
+                lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A")
+            except RuntimeError as exc:
+                raise SolverError(f"shift-invert factorization failed: "
+                                  f"{exc}") from exc
+            kwargs.update(sigma=sigma, which="LM",
+                          OPinv=spla.LinearOperator((n, n), matvec=lu.solve,
+                                                    dtype=work.dtype))
+        else:
+            kwargs.update(which="SA")
+        try:
+            vals, vecs = spla.eigsh(work, **kwargs)
+        except spla.ArpackNoConvergence as exc:
+            raise SolverError(f"eigensolver did not converge: {exc}") from exc
+    e0, v0 = float(vals[0]), vecs[:, 0]
+    residual = float(np.linalg.norm(mat @ v0 - e0 * v0))
+    if residual > residual_tol:
+        raise SolverError("ground eigenpair residual too large", residual)
+    return e0, _fix_phase(v0)
+
+
 def ground_eigenpair(op: ParticleOperator,
                      residual_tol: float = EIG_RESIDUAL_TOL):
     """Smallest eigenvalue and normalized eigenvector of a Hermitian operator.
 
-    The constant offset is not added to the returned eigenvalue.  Dense
-    diagonalization below a size cutoff, Lanczos iteration with a fixed
-    all-ones start vector above it; deterministic either way.
+    The constant offset is not added to the returned eigenvalue.  The solve
+    is lowest_eigenpair's; deterministic on every path.
     """
-    mat = op.matrix
-    n = mat.shape[0]
-    if n <= DENSE_EIG_CUTOFF:
-        vals, vecs = scipy.linalg.eigh(mat.toarray())
-        e0, v0 = float(vals[0]), vecs[:, 0]
-    else:
-        start = np.ones(n) / np.sqrt(n)
-        try:
-            vals, vecs = spla.eigsh(mat, k=1, which="SA", v0=start,
-                                    maxiter=20 * n)
-        except spla.ArpackNoConvergence as exc:
-            raise SolverError(f"eigensolver did not converge: {exc}") from exc
-        e0, v0 = float(vals[0]), vecs[:, 0]
-    residual = float(np.linalg.norm(mat @ v0 - e0 * v0))
-    if residual > residual_tol:
-        raise SolverError("ground eigenpair residual too large", residual)
-    v0 = _fix_phase(v0)
+    e0, v0 = lowest_eigenpair(op.matrix, residual_tol)
     return e0, WaveFunction.normalized(v0, op.grid)
 
 

@@ -158,3 +158,49 @@ n_starts = 2
                      "--seed", "11"]) == EXIT_OK
         outs.append((out / "results.json").read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("line", ["seed = abc", "tol_energy = small",
+                                  "n_starts = 2.5", "eps_list = 0.5, half"])
+def test_non_numeric_value_exits_validation(tmp_path, model_dir, capsys, line):
+    cfg = _write_cfg(tmp_path / "nn.cfg", f"""command = qc-min
+model = {model_dir / 'decoupled.json'}
+{line}
+""")
+    with pytest.raises(ConfigError, match=r"nn\.cfg:3: .*" + line.split()[0]):
+        parse_run_config(cfg)
+    assert main(["qc-min", "--config", str(cfg),
+                 "--out", str(tmp_path / "nn_out")]) == EXIT_VALIDATION
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "nn_out").exists()
+
+
+@pytest.mark.parametrize("key", ["n_start", "tol_grad", "max_atoms", "scale"])
+def test_unknown_key_exits_validation(tmp_path, model_dir, key):
+    cfg = _write_cfg(tmp_path / "uk.cfg", f"""command = qc-min
+model = {model_dir / 'decoupled.json'}
+{key} = 4
+""")
+    with pytest.raises(ConfigError, match=rf"uk\.cfg:3: unknown key '{key}'"):
+        parse_run_config(cfg)
+    assert main(["qc-min", "--config", str(cfg),
+                 "--out", str(tmp_path / "uk_out")]) == EXIT_VALIDATION
+
+
+def test_every_schema_key_accepted(tmp_path, model_dir):
+    """Each optional key documented in the schema parses."""
+    from pathlib import Path
+    schema = (Path(__file__).resolve().parent.parent / "docs"
+              / "run_config_schema.txt").read_text()
+    section = schema.split("Optional keys")[1].split("Outputs")[0]
+    keys = [line.split()[0] for line in section.splitlines()[2:]
+            if line and not line.startswith(" ")]
+    assert "seed" in keys and "export_kernel" in keys
+    values = {"out_dir": "res", "eps_list": "0.5, 0.25",
+              "export_kernel": "true"}
+    body = "".join(f"{k} = {values.get(k, '3')}\n" for k in keys)
+    cfg = _write_cfg(tmp_path / "all.cfg", f"""command = qc-min
+model = {model_dir / 'decoupled.json'}
+{body}""")
+    parsed = parse_run_config(cfg)
+    assert parsed["n_max"] == 3 and parsed["eps_list"] == [0.5, 0.25]

@@ -1,0 +1,151 @@
+"""The ground solver on each of its paths, against independent answers.
+
+Small operators take the dense path; above the cutoff a banded operator
+(half-bandwidth b with b^2 <= n) takes shift-invert Lanczos and a wide-band
+one plain Lanczos.  Each test calls a public wrapper (ground_eigenpair or
+ground_energy_eps) and records which path ran.
+"""
+
+import numpy as np
+import pytest
+
+from qcfield import (SolverError, assemble_h_eps, assemble_hz, assemble_k0,
+                     box_ground_energy, build_dispersion, build_field_modes,
+                     build_fock_basis, build_particle_grid, field_z,
+                     ground_eigenpair, ground_energy_eps, make_model,
+                     nelson_form_factor)
+from qcfield import minimize
+from qcfield.presets import (decoupled_reference, small_minimal_coupling,
+                             small_polaron)
+
+
+@pytest.fixture
+def paths(monkeypatch):
+    """Names of the solver paths run during the test, with their dtypes."""
+    ran = []
+    spla, linalg = minimize.spla, minimize.scipy.linalg
+    eigh, eigsh, splu = linalg.eigh, spla.eigsh, spla.splu
+
+    def spy_eigh(a, *args, **kwargs):
+        ran.append(("dense", a.dtype))
+        return eigh(a, *args, **kwargs)
+
+    def spy_splu(a, *args, **kwargs):
+        ran.append(("shift-invert", a.dtype))
+        return splu(a, *args, **kwargs)
+
+    def spy_eigsh(a, *args, **kwargs):
+        if kwargs.get("which") == "SA":
+            ran.append(("lanczos", a.dtype))
+        return eigsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "eigh", spy_eigh)
+    monkeypatch.setattr(spla, "splu", spy_splu)
+    monkeypatch.setattr(spla, "eigsh", spy_eigsh)
+    return ran
+
+
+@pytest.fixture(scope="module")
+def dense_k0():
+    """Harmonic K_0 on 64 points: under the dense cutoff."""
+    return assemble_k0(decoupled_reference())
+
+
+@pytest.fixture(scope="module")
+def box_2048():
+    """Zero-potential K_0 on a 1-d grid of 2048 points: real, b = 1."""
+    grid = build_particle_grid(1, 1, 8.0, 2048)
+    modes = build_field_modes([[0.0]], weights=[1.0])
+    ff = nelson_form_factor(grid, modes, [0.0])
+    spec = make_model("nelson", grid, modes, build_dispersion([1.0]), ff,
+                      "zero")
+    return assemble_k0(spec)
+
+
+@pytest.fixture(scope="module")
+def minimal_1200():
+    """Minimal-coupling H_z at a complex field: complex Hermitian, b = 1."""
+    spec = small_minimal_coupling(points=1200)
+    return assemble_hz(spec, field_z([0.3 + 0.1j, -0.2j]))
+
+
+@pytest.fixture(scope="module")
+def polaron_h_eps():
+    """Quantized polaron H_eps, n = 1120 with b = 70: complex, wide band."""
+    spec = small_polaron()
+    return assemble_h_eps(spec, build_fock_basis(spec.n_modes, 4), 0.5)
+
+
+def test_shift_invert_real_box_ground(box_2048, paths):
+    e0, psi = ground_eigenpair(box_2048)
+    assert paths == [("shift-invert", np.float64)]
+    assert e0 == pytest.approx(box_ground_energy(box_2048.grid), abs=1e-9)
+    # the lowest discrete box mode is a sampled cosine
+    grid = box_2048.grid
+    x = grid.axis_coords
+    mode = np.cos(np.pi * x / (2.0 * grid.extent + grid.spacing))
+    mode /= np.linalg.norm(mode) * np.sqrt(grid.measure)
+    overlap = abs(np.vdot(mode, psi.values)) * grid.measure
+    assert overlap == pytest.approx(1.0, abs=1e-9)
+
+
+def test_shift_invert_complex_minimal_coupling(minimal_1200, paths):
+    mat = minimal_1200.matrix
+    assert np.any(mat.data.imag)
+    e0, psi = ground_eigenpair(minimal_1200)
+    assert paths == [("shift-invert", np.complex128)]
+    vals, vecs = np.linalg.eigh(mat.toarray())
+    assert e0 == pytest.approx(vals[0], abs=1e-9)
+    ref = vecs[:, 0] / (np.linalg.norm(vecs[:, 0])
+                        * np.sqrt(minimal_1200.grid.measure))
+    overlap = abs(np.vdot(ref, psi.values)) * minimal_1200.grid.measure
+    assert overlap == pytest.approx(1.0, abs=1e-9)
+
+
+def test_lanczos_wide_band_h_eps(polaron_h_eps, paths):
+    assert np.any(polaron_h_eps.data.imag)
+    e0, vec = ground_energy_eps(polaron_h_eps)
+    assert paths == [("lanczos", np.complex128)]
+    vals = np.linalg.eigvalsh(polaron_h_eps.toarray())
+    assert e0 == pytest.approx(vals[0], abs=1e-9)
+    assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_dense_path_real_arithmetic(dense_k0, paths):
+    ground_eigenpair(dense_k0)
+    assert paths == [("dense", np.float64)]
+
+
+CASES = ["dense_k0", "box_2048", "minimal_1200", "polaron_h_eps"]
+
+
+def _solve(case, request, **kwargs):
+    """(energy, vector) from the public wrapper that owns the case."""
+    operand = request.getfixturevalue(case)
+    if case == "polaron_h_eps":
+        return ground_energy_eps(operand, **kwargs)
+    e0, psi = ground_eigenpair(operand, **kwargs)
+    return e0, psi.values
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_repeat_calls_bit_identical(case, request):
+    e_a, v_a = _solve(case, request)
+    e_b, v_b = _solve(case, request)
+    assert e_a == e_b
+    assert np.array_equal(v_a, v_b)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_zero_residual_tolerance_raises(case, request):
+    with pytest.raises(SolverError, match="residual"):
+        _solve(case, request, residual_tol=0.0)
+
+
+def test_failed_factorization_raises_solver_error(box_2048, monkeypatch):
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(minimize.spla, "splu", singular)
+    with pytest.raises(SolverError, match="factorization"):
+        ground_eigenpair(box_2048)
