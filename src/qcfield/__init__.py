@@ -16,7 +16,7 @@ from .model import (Dispersion, FieldModes, FormFactor, ModelSpec,
                     build_field_modes, build_particle_grid,
                     frozen_particle_grid, grid_inner, grid_norm,
                     harmonic_potential, is_trapping, load_model, make_model,
-                    mode_inner, mode_norm, model_from_json, model_to_json,
+                    mode_norm, model_from_json, model_to_json,
                     nelson_form_factor, pauli_fierz_form_factor,
                     polaron_form_factor, quartic_potential, save_model,
                     validate_model, zero_potential)
@@ -31,6 +31,7 @@ from .pekar import (Density, Gap, PekarEnergy, PekarKernel, SplittingReport,
                     eta_pekar_info, fixed_point_eta, kernel_convolve,
                     one_particle_density, pekar_energy, pekar_kernel,
                     polaron_splitting)
+from .coupling import LinearCoupling, MinimalCoupling
 from .minimize import (EquivalenceReport, MinimizeResult, MultiStartResult,
                        PekarMinimizeResult, alternating_minimize,
                        best_particle_energy, equivalence_check,

@@ -10,7 +10,9 @@ written with 17-significant-digit numbers so repeated runs with the same
 config and seed are byte-identical.
 
 Exit codes: 0 success, 2 config/model validation failure, 3 solver
-non-convergence, 4 assertion failure (an embedded check did not hold).
+non-convergence, 4 assertion failure (an embedded check did not hold).  An
+error raised mid-run maps to one of them (see _EXIT_CODES), prints one
+stderr line and leaves results.json with the command and the error.
 """
 
 from __future__ import annotations
@@ -20,6 +22,10 @@ import os
 import sys
 from pathlib import Path
 
+from .errors import (CapacityError, ConsistencyError, GaugeError,
+                     ModelAssumptionError, NormalizationError, SolverError,
+                     TruncationError)
+
 COMMANDS = ("qc-min", "pekar", "equivalence", "fock-sweep", "convexity",
             "measures-check")
 
@@ -27,6 +33,12 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_ASSERTION = 4
+
+# errors raised mid-run and their documented exit codes
+_EXIT_CODES = {CapacityError: EXIT_VALIDATION, GaugeError: EXIT_VALIDATION,
+               ModelAssumptionError: EXIT_VALIDATION,
+               NormalizationError: EXIT_VALIDATION, SolverError: EXIT_SOLVER,
+               ConsistencyError: EXIT_ASSERTION, TruncationError: EXIT_ASSERTION}
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +214,6 @@ def _run_qc_min(spec, cfg, out_dir):
 
 
 def _run_pekar(spec, cfg, out_dir):
-    import numpy as np
     from . import minimize as mz
     from . import pekar as pk
 
@@ -362,7 +373,6 @@ _RUNNERS = {
 
 def run(cfg: dict) -> int:
     """Execute a parsed run config; returns the process exit code."""
-    from .errors import (CapacityError, ModelAssumptionError, SolverError)
     from .model import load_model, validate_model
 
     out_dir = Path(cfg["out_dir"])
@@ -371,20 +381,22 @@ def run(cfg: dict) -> int:
         spec = load_model(cfg["model"])
         report = validate_model(spec)
         if not report.passes:
-            out_dir.mkdir(parents=True, exist_ok=True)
             write_results(out_dir, {"command": cfg["command"],
                                     "error": "model validation failed",
                                     "validation": report.summary()})
             return EXIT_VALIDATION
-    except (ModelAssumptionError, CapacityError, ValueError) as exc:
+    except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
         code, _ = _RUNNERS[cfg["command"]](spec, cfg, out_dir)
         return code
-    except SolverError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    except tuple(_EXIT_CODES) as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        print(f"error: {error}", file=sys.stderr)
+        write_results(out_dir, {"command": cfg["command"], "error": error})
+        return next(code for cls, code in _EXIT_CODES.items()
+                    if isinstance(exc, cls))
 
 
 def _apply_thread_cap(n: int | None) -> None:

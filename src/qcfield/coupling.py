@@ -1,0 +1,155 @@
+"""Particle-field couplings: the one place that tells linear from minimal.
+
+H_z and the quantized H_eps share one interaction.  Given the field operator
+A_p that particle p sees and its momentum P_p, linear coupling (nelson,
+polaron) adds sum_p A_p and minimal coupling (pauli_fierz) adds
+
+    sum_p (e/2m_p){P_p, A_p} + (e^2/2m_p) A_p^2.
+
+H_z passes the classical field A_p = diag a_z(x_p) and H_eps the quantized
+A_p = sum_j sqrt(w_j) (lambda_j(x_p) a_j^dag + h.c.).  Each coupling also
+gives the field source of the Euler-Lagrange vector, the minimizing field at
+fixed psi, the reduced energy and its gradient, and the field energy's
+quadratic form beyond ||eta||^2.  ModelSpec.coupling picks one from
+BY_FAMILY once per model.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .errors import SolverError
+from .pekar import eta_pekar, kernel_convolve
+from .qc_energy import (assemble_hz, assemble_k0, coupling_expectation,
+                        eta_to_z, momentum_matrix, qc_energy_eta,
+                        _particle_marginal)
+
+
+class LinearCoupling:
+    """sum_p A_p: the minimizing field is closed-form and eliminating it
+    leaves a density-density kernel."""
+
+    def interaction(self, spec, field, momentum):
+        """sum_p field(p); momentum is not used."""
+        return sum(field(p) for p in range(spec.grid.n_particles))
+
+    def field_source(self, spec, psi, z):
+        """<psi| d/d(conj z_j) sum_p A_p |psi> = <psi| sum_p lambda_j(x_p) |psi>."""
+        return coupling_expectation(spec, psi)
+
+    def minimizing_field(self, spec, psi):
+        """Closed form eta_j = -<psi| sum_p lambda_j(x_p) |psi> / sqrt(omega_j)."""
+        m = coupling_expectation(spec, psi)
+        return -m / np.sqrt(spec.dispersion.values), {"method": "closed-form"}
+
+    def reduced_value(self, spec, psi):
+        """Reduced energy through the kernel: <K_0> + <rho|V_kernel * rho>."""
+        density = np.abs(psi.values) ** 2 * spec.grid.measure
+        conv = kernel_convolve(spec, density)
+        return assemble_k0(spec).expectation(psi) + float(density @ conv)
+
+    def reduced_gradient(self, spec, psi):
+        """Unconstrained gradient (K_0 + 2 V_kernel * |psi|^2) psi."""
+        density = np.abs(psi.values) ** 2 * spec.grid.measure
+        conv = kernel_convolve(spec, density)
+        return assemble_k0(spec).apply(psi.values) + 2.0 * conv * psi.values
+
+    kernel_value = reduced_value  # pekar_energy checks it against H_z's route
+
+    def quadratic_excess(self, spec, psi, delta):
+        """The field energy's quadratic form is exactly ||delta||^2."""
+        return 0.0
+
+
+class MinimalCoupling:
+    """P_p -> P_p + e A_p: through A_p^2 the field's quadratic form depends
+    on psi, so the minimizing field solves (1 + T) eta = -b."""
+
+    def interaction(self, spec, field, momentum):
+        """sum_p (e/2m_p)(P_p A_p + A_p P_p) + (e^2/2m_p) A_p A_p."""
+        e = spec.charge
+        total = 0
+        for p in range(spec.grid.n_particles):
+            a, mom, m = field(p), momentum(p), spec.mass_of(p)
+            total = total + (e / (2.0 * m)) * (mom @ a + a @ mom) \
+                + (e ** 2 / (2.0 * m)) * (a @ a)
+        return total
+
+    def field_source(self, spec, psi, z):
+        """sqrt(omega) (b + T eta) at eta = sqrt(omega) z, so that the
+        Euler-Lagrange vector is sqrt(omega) ((1 + T) eta + b)."""
+        sq = np.sqrt(spec.dispersion.values)
+        return sq * (self.b_vector(spec, psi)
+                     + self.t_apply(spec, psi, sq * z.values))
+
+    def minimizing_field(self, spec, psi):
+        """Direct solve of (1 + T) eta = -b in (Re eta, Im eta) coordinates,
+        refused when the real 2K x 2K matrix is near-singular."""
+        k = spec.n_modes
+        b = self.b_vector(spec, psi)
+        mat = np.eye(2 * k)
+        for col in range(2 * k):
+            unit = np.zeros(k, dtype=complex)
+            unit[col % k] = 1.0 if col < k else 1.0j
+            t = self.t_apply(spec, psi, unit)
+            mat[:k, col] += t.real
+            mat[k:, col] += t.imag
+        cond = float(np.linalg.cond(mat))
+        if not np.isfinite(cond) or cond > 1e12:
+            raise SolverError(f"singular field-minimizer system (cond={cond:.3g})")
+        sol = np.linalg.solve(mat, -np.concatenate([b.real, b.imag]))
+        return sol[:k] + 1j * sol[k:], {"method": "direct", "condition": cond}
+
+    def b_vector(self, spec, psi):
+        """b_j = sum_p (e/2m_p) <psi|{P_p, xi_j(x_p)}|psi>, xi = omega^(-1/2) lambda."""
+        grid = spec.grid
+        e = spec.charge
+        b = np.zeros(spec.n_modes, dtype=complex)
+        for p in range(grid.n_particles):
+            mom_psi = momentum_matrix(grid, p) @ psi.values
+            current = 2.0 * np.real(np.conj(psi.values) * mom_psi) * grid.measure
+            marg = _particle_marginal(grid, current, p)
+            b += (e / (2.0 * spec.mass_of(p))) * (_xi_table(spec, p).T @ marg)
+        return b
+
+    def t_apply(self, spec, psi, eta):
+        """(T eta)_j = sum_p (e^2/m_p) <psi| 2 Re<eta|xi(x_p)> xi_j(x_p) |psi>."""
+        grid = spec.grid
+        density = np.abs(psi.values) ** 2 * grid.measure
+        out = np.zeros(spec.n_modes, dtype=complex)
+        for p in range(grid.n_particles):
+            xi = _xi_table(spec, p)
+            u = 2.0 * np.real(xi @ (spec.modes.weights * np.conj(eta)))
+            marg = _particle_marginal(grid, density, p) * u
+            out += (spec.charge ** 2 / spec.mass_of(p)) * (xi.T @ marg)
+        return out
+
+    def reduced_value(self, spec, psi):
+        """Coupled energy at the solved field."""
+        return qc_energy_eta(spec, psi, eta_pekar(spec, psi))
+
+    def reduced_gradient(self, spec, psi):
+        """H_{z(psi)} psi: at the solved field the field equation holds, so by
+        the envelope identity the field's psi-dependence drops out."""
+        op = assemble_hz(spec, eta_to_z(eta_pekar(spec, psi), spec.dispersion))
+        return op.apply(psi.values) + op.constant_offset * psi.values
+
+    def kernel_value(self, spec, psi):
+        """None: eliminating a minimally coupled field leaves no kernel."""
+        return None
+
+    def quadratic_excess(self, spec, psi, delta):
+        """Re<delta|T delta> = sum_p (e^2/2m_p) <psi| (2 Re<delta|xi(x_p)>)^2 |psi>."""
+        t_delta = self.t_apply(spec, psi, delta)
+        return float(np.sum(spec.modes.weights * np.conj(delta) * t_delta).real)
+
+
+def _xi_table(spec, p):
+    """xi(x; k_j) = omega_j^(-1/2) lambda_p(x; k_j) on the single-particle grid."""
+    return spec.form_factor.particle_table(p) \
+        / np.sqrt(spec.dispersion.values)[None, :]
+
+
+LINEAR = LinearCoupling()
+MINIMAL = MinimalCoupling()
+BY_FAMILY = {"nelson": LINEAR, "polaron": LINEAR, "pauli_fierz": MINIMAL}

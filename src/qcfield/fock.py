@@ -126,19 +126,10 @@ def dgamma(basis: FockBasis, dispersion, epsilon: float) -> sp.csr_matrix:
     return sp.diags(diag.astype(complex), format="csr")
 
 
-def _coupling_diag(spec: ModelSpec, mode: int, particle: int | None = None
-                   ) -> np.ndarray:
-    """Summed form-factor values for one mode on the configuration grid."""
-    grid = spec.grid
-    if particle is not None:
-        return grid.lift_single(spec.form_factor.particle_table(particle)[:, mode],
-                                particle)
-    return grid.sum_over_particles(spec.form_factor.table[:, mode])
-
-
 def assemble_h_eps(spec: ModelSpec, basis: FockBasis, epsilon: float,
                    dimension_cap: int = DEFAULT_DIMENSION_CAP) -> sp.csr_matrix:
-    """Quantized Hamiltonian on the (particle grid) x (Fock basis) space."""
+    """Quantized Hamiltonian on the (particle grid) x (Fock basis) space:
+    H_z's coupling interaction with the field quantized, A_p (x) a_j^dag."""
     grid = spec.grid
     dim = grid.total_points * basis.dim
     if dim > dimension_cap:
@@ -152,28 +143,20 @@ def assemble_h_eps(spec: ModelSpec, basis: FockBasis, epsilon: float,
     lowering, raising = ladder_operators(basis, epsilon)
     sqw = np.sqrt(spec.modes.weights)
 
-    if spec.family in ("nelson", "polaron"):
+    def field(p):
+        table = spec.form_factor.particle_table(p)
+        op = 0
         for j in range(spec.n_modes):
-            lam = _coupling_diag(spec, j)
+            lam = grid.lift_single(table[:, j], p)
             d = sp.diags(lam.astype(complex), format="csr")
-            h = h + sqw[j] * (sp.kron(d, raising[j], format="csr")
-                              + sp.kron(d.conj(), lowering[j], format="csr"))
-        return h.tocsr()
+            op = op + sqw[j] * (sp.kron(d, raising[j], format="csr")
+                                + sp.kron(d.conj(), lowering[j], format="csr"))
+        return op
 
-    e = spec.charge
-    for p in range(grid.n_particles):
-        m = spec.mass_of(p)
-        field_op = sp.csr_matrix((dim, dim), dtype=complex)
-        for j in range(spec.n_modes):
-            lam = _coupling_diag(spec, j, particle=p)
-            d = sp.diags(lam.astype(complex), format="csr")
-            field_op = field_op + sqw[j] * (
-                sp.kron(d, raising[j], format="csr")
-                + sp.kron(d.conj(), lowering[j], format="csr"))
-        mom = sp.kron(momentum_matrix(grid, p), eye_f, format="csr")
-        h = h + (e / (2.0 * m)) * (mom @ field_op + field_op @ mom)
-        h = h + (e ** 2 / (2.0 * m)) * (field_op @ field_op)
-    return h.tocsr()
+    def momentum(p):
+        return sp.kron(momentum_matrix(grid, p), eye_f, format="csr")
+
+    return (h + spec.coupling.interaction(spec, field, momentum)).tocsr()
 
 
 def ground_energy_eps(h: sp.spmatrix,

@@ -19,7 +19,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import SolverError
 from .model import ModelSpec, grid_inner, grid_norm, mode_norm
-from .pekar import eta_pekar, pekar_energy, kernel_convolve
+from .pekar import eta_pekar, pekar_energy
 from .qc_energy import (ELResiduals, FieldAmplitudes, ParticleOperator,
                         WaveFunction, assemble_hz, assemble_k0, el_residual,
                         eta_to_z, field_eta, qc_energy_eta,
@@ -297,32 +297,6 @@ class PekarMinimizeResult:
     converged: bool
 
 
-def _pekar_gradient(spec: ModelSpec, psi: WaveFunction) -> np.ndarray:
-    """Unconstrained gradient of the reduced energy at psi.
-
-    Linear families: (K_0 + 2 V_kernel * |psi|^2) psi.  Minimal coupling:
-    H_{z(psi)} psi by the envelope identity (the field equation holds at the
-    solved field, so its psi-dependence drops out).
-    """
-    if spec.family in ("nelson", "polaron"):
-        density = np.abs(psi.values) ** 2 * spec.grid.measure
-        conv = kernel_convolve(spec, density)
-        k0 = assemble_k0(spec)
-        return k0.apply(psi.values) + 2.0 * conv * psi.values
-    eta = eta_pekar(spec, psi)
-    op = assemble_hz(spec, eta_to_z(eta, spec.dispersion))
-    return op.apply(psi.values) + op.constant_offset * psi.values
-
-
-def _pekar_value(spec: ModelSpec, psi: WaveFunction) -> float:
-    if spec.family in ("nelson", "polaron"):
-        density = np.abs(psi.values) ** 2 * spec.grid.measure
-        conv = kernel_convolve(spec, density)
-        return assemble_k0(spec).expectation(psi) + float(density @ conv)
-    eta = eta_pekar(spec, psi)
-    return qc_energy_eta(spec, psi, eta)
-
-
 def pekar_minimize(spec: ModelSpec,
                    init_psi: WaveFunction | None = None,
                    tol_grad: float = 1e-8,
@@ -336,13 +310,14 @@ def pekar_minimize(spec: ModelSpec,
     lowers the energy (an exact partial step, so the safeguard never harms).
     """
     grid = spec.grid
+    coupling = spec.coupling
     if init_psi is None:
         _, psi = ground_eigenpair(assemble_k0(spec))
     else:
         psi = init_psi
-    energy = _pekar_value(spec, psi)
+    energy = coupling.reduced_value(spec, psi)
     trace = [energy]
-    grad = _pekar_gradient(spec, psi)
+    grad = coupling.reduced_gradient(spec, psi)
     proj = grad - grid_inner(grid, psi.values, grad).real * psi.values
     step = 1.0 / max(1.0, grid_norm(grid, proj))
     grad_norm = grid_norm(grid, proj)
@@ -354,14 +329,14 @@ def pekar_minimize(spec: ModelSpec,
         if converged:
             break
         psi_new = WaveFunction.normalized(psi.values - step * proj, grid)
-        energy_new = _pekar_value(spec, psi_new)
+        energy_new = coupling.reduced_value(spec, psi_new)
         for _ in range(30):  # backtrack on uphill moves
             if energy_new <= energy + 1e-13:
                 break
             step *= 0.5
             psi_new = WaveFunction.normalized(psi.values - step * proj, grid)
-            energy_new = _pekar_value(spec, psi_new)
-        grad_new = _pekar_gradient(spec, psi_new)
+            energy_new = coupling.reduced_value(spec, psi_new)
+        grad_new = coupling.reduced_gradient(spec, psi_new)
         s = psi_new.values - psi.values
         y = grad_new - grad
         sy = grid_inner(grid, s, y).real
@@ -378,10 +353,10 @@ def pekar_minimize(spec: ModelSpec,
             eta = eta_pekar(spec, psi)
             op = assemble_hz(spec, eta_to_z(eta, spec.dispersion))
             e0, psi_eig = ground_eigenpair(op)
-            energy_eig = _pekar_value(spec, psi_eig)
+            energy_eig = coupling.reduced_value(spec, psi_eig)
             if energy_eig < energy - 1e-14:
                 psi, energy = psi_eig, energy_eig
-                grad = _pekar_gradient(spec, psi)
+                grad = coupling.reduced_gradient(spec, psi)
                 trace.append(energy)
             proj = grad - grid_inner(grid, psi.values, grad).real * psi.values
             grad_norm = grid_norm(grid, proj)

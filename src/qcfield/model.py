@@ -194,10 +194,6 @@ def _default_weights(k: np.ndarray) -> np.ndarray:
     return np.ones(k.shape[0])
 
 
-def mode_inner(modes: FieldModes, u: np.ndarray, v: np.ndarray) -> complex:
-    return complex(np.sum(modes.weights * np.conj(u) * v))
-
-
 def mode_norm(modes: FieldModes, u: np.ndarray) -> float:
     return float(np.sqrt(np.sum(modes.weights * np.abs(u) ** 2).real))
 
@@ -350,6 +346,12 @@ class ModelSpec:
     @property
     def n_modes(self) -> int:
         return self.modes.count
+
+    @cached_property
+    def coupling(self):
+        """The family's particle-field coupling (qcfield.coupling)."""
+        from .coupling import BY_FAMILY  # coupling.py builds on qc_energy
+        return BY_FAMILY[self.family]
 
     def mass_of(self, particle: int) -> float:
         if self.masses is None:

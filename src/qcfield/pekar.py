@@ -7,7 +7,7 @@ quadratic problem.  For the linear families the minimizer is closed-form,
 
 and substituting it back yields a self-interaction kernel for the particles
 alone.  For minimal coupling the minimizer solves a real-linear system
-(1 + T) eta = -b instead.
+(1 + T) eta = -b instead; qcfield.coupling holds both.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ import numpy as np
 
 from .errors import CapacityError, ConsistencyError, SolverError
 from .model import ModelSpec, ParticleGrid, mode_norm
-from .qc_energy import (FieldAmplitudes, WaveFunction, assemble_k0,
-                        coupling_expectation, field_eta, momentum_matrix,
+from .qc_energy import (FieldAmplitudes, WaveFunction, field_eta,
                         qc_energy_eta, _particle_marginal)
 
 PEKAR_AGREE_TOL = 1e-10
@@ -41,64 +40,8 @@ def eta_pekar_info(spec: ModelSpec, psi: WaveFunction):
     minimal-coupling linear system)."""
     psi.require_normalized()
     spec.dispersion.require_gap("the field reduction")
-    if spec.family in ("nelson", "polaron"):
-        m = coupling_expectation(spec, psi)
-        eta = -m / np.sqrt(spec.dispersion.values)
-        return field_eta(eta), {"method": "closed-form"}
-
-    mat, b = _minimal_coupling_system(spec, psi)
-    cond = float(np.linalg.cond(mat))
-    if not np.isfinite(cond) or cond > 1e12:
-        raise SolverError(f"singular field-minimizer system (cond={cond:.3g})")
-    sol = np.linalg.solve(mat, -b)
-    k = spec.n_modes
-    eta = sol[:k] + 1j * sol[k:]
-    return field_eta(eta), {"method": "direct", "condition": cond}
-
-
-def _pf_b_vector(spec: ModelSpec, psi: WaveFunction) -> np.ndarray:
-    """b_j = sum_p (e/2m_p) <psi|{ -i d_p, xi_j(x_p) }|psi>, xi = omega^(-1/2) lambda."""
-    grid = spec.grid
-    e = spec.charge
-    sq = np.sqrt(spec.dispersion.values)
-    b = np.zeros(spec.n_modes, dtype=complex)
-    for p in range(grid.n_particles):
-        table = spec.form_factor.particle_table(p) / sq[None, :]
-        mom_psi = momentum_matrix(grid, p) @ psi.values
-        cross_density = 2.0 * np.real(np.conj(psi.values) * mom_psi) * grid.measure
-        marg = _particle_marginal(grid, cross_density, p)
-        b += (e / (2.0 * spec.mass_of(p))) * (table.T @ marg)
-    return b
-
-
-def _pf_t_apply(spec: ModelSpec, psi: WaveFunction, eta: np.ndarray) -> np.ndarray:
-    """(T eta)_j = sum_p (e^2/m_p) <psi| 2 Re<eta|xi(x_p)> xi_j(x_p) |psi>."""
-    grid = spec.grid
-    e = spec.charge
-    w = spec.modes.weights
-    sq = np.sqrt(spec.dispersion.values)
-    density = np.abs(psi.values) ** 2 * grid.measure
-    out = np.zeros(spec.n_modes, dtype=complex)
-    for p in range(grid.n_particles):
-        table = spec.form_factor.particle_table(p) / sq[None, :]
-        u = 2.0 * np.real(table @ (w * np.conj(eta)))  # 2 Re<eta|xi(x)>
-        marg = _particle_marginal(grid, density, p) * u
-        out += (e ** 2 / spec.mass_of(p)) * (table.T @ marg)
-    return out
-
-
-def _minimal_coupling_system(spec: ModelSpec, psi: WaveFunction):
-    """Real 2K x 2K matrix of (1 + T) in (Re eta, Im eta) coordinates."""
-    k = spec.n_modes
-    b = _pf_b_vector(spec, psi)
-    mat = np.eye(2 * k)
-    for col in range(2 * k):
-        unit = np.zeros(k, dtype=complex)
-        unit[col % k] = 1.0 if col < k else 1.0j
-        t = _pf_t_apply(spec, psi, unit)
-        mat[:k, col] += t.real
-        mat[k:, col] += t.imag
-    return mat, np.concatenate([b.real, b.imag])
+    eta, info = spec.coupling.minimizing_field(spec, psi)
+    return field_eta(eta), info
 
 
 def fixed_point_eta(spec: ModelSpec, psi: WaveFunction,
@@ -111,11 +54,12 @@ def fixed_point_eta(spec: ModelSpec, psi: WaveFunction,
     psi.require_normalized()
     if spec.family != "pauli_fierz":
         raise ValueError("fixed-point iteration applies to minimal coupling only")
-    b = _pf_b_vector(spec, psi)
+    coupling = spec.coupling
+    b = coupling.b_vector(spec, psi)
     eta = np.zeros(spec.n_modes, dtype=complex) if start is None \
         else np.asarray(start, dtype=complex).copy()
     for it in range(1, max_iter + 1):
-        new = -b - _pf_t_apply(spec, psi, eta)
+        new = -b - coupling.t_apply(spec, psi, eta)
         if mode_norm(spec.modes, new - eta) <= tol:
             return field_eta(new), it
         eta = new
@@ -166,26 +110,23 @@ def pekar_kernel(spec: ModelSpec,
                  memory_cap: int = DEFAULT_KERNEL_CAP) -> PekarKernel:
     """Materialize the self-interaction kernel (symmetric by construction)."""
     spec.dispersion.require_gap("the self-interaction kernel")
-    w = spec.modes.weights
-    om = spec.dispersion.values
-    table = spec.form_factor.table
-    # U(x, y) = sum_j (w_j/om_j) conj(lambda(x;k_j)) lambda(y;k_j)
-    u = (table.conj() * (w / om)[None, :]) @ table.T
     grid = spec.grid
     if grid.total_points ** 2 > memory_cap:
         raise CapacityError(
             f"kernel would need {grid.total_points ** 2} entries, over the "
             f"cap {memory_cap}; use kernel_convolve instead")
-    if grid.n_particles == 1 and spec.form_factor.per_particle is None:
-        config = -np.real(u)
-    else:
-        config = np.zeros((grid.total_points, grid.total_points))
-        for i in range(grid.n_particles):
-            ti = spec.form_factor.particle_table(i)
-            for j in range(grid.n_particles):
-                tj = spec.form_factor.particle_table(j)
-                uij = (ti.conj() * (w / om)[None, :]) @ tj.T
-                config -= np.real(_lift_pair(grid, uij, i, j))
+    w = spec.modes.weights
+    om = spec.dispersion.values
+    table = spec.form_factor.table
+    # U(x, y) = sum_j (w_j/om_j) conj(lambda(x;k_j)) lambda(y;k_j)
+    u = (table.conj() * (w / om)[None, :]) @ table.T
+    config = np.zeros((grid.total_points, grid.total_points))
+    for i in range(grid.n_particles):
+        ti = spec.form_factor.particle_table(i)
+        for j in range(grid.n_particles):
+            tj = spec.form_factor.particle_table(j)
+            uij = (ti.conj() * (w / om)[None, :]) @ tj.T
+            config -= np.real(_lift_pair(grid, uij, i, j))
     return PekarKernel(single_particle=u, config_matrix=config, grid=grid)
 
 
@@ -226,24 +167,14 @@ def pekar_energy(spec: ModelSpec, psi: WaveFunction,
     psi.require_normalized()
     eta = eta_pekar(spec, psi)
     value = qc_energy_eta(spec, psi, eta)
-    if spec.family == "pauli_fierz":
-        return PekarEnergy(value=value, kernel_value=None, eta=eta)
-
-    grid = spec.grid
-    density = np.abs(psi.values) ** 2 * grid.measure
-    conv = kernel_convolve(spec, density)
-    k0 = assemble_k0(spec).expectation(psi)
-    kernel_value = k0 + float(density @ conv)
-    scale = max(abs(value), abs(kernel_value), 1e-30)
-    if abs(value - kernel_value) > agree_tol * scale:
-        raise ConsistencyError(
-            f"kernel route {kernel_value!r} and field route {value!r} "
-            f"disagree beyond {agree_tol:g} relative")
+    kernel_value = spec.coupling.kernel_value(spec, psi)
+    if kernel_value is not None:
+        scale = max(abs(value), abs(kernel_value), 1e-30)
+        if abs(value - kernel_value) > agree_tol * scale:
+            raise ConsistencyError(
+                f"kernel route {kernel_value!r} and field route {value!r} "
+                f"disagree beyond {agree_tol:g} relative")
     return PekarEnergy(value=value, kernel_value=kernel_value, eta=eta)
-
-
-def pekar_energy_value(spec: ModelSpec, psi: WaveFunction) -> float:
-    return pekar_energy(spec, psi).value
 
 
 # ---------------------------------------------------------------------------
@@ -312,18 +243,8 @@ def convexity_gap(spec: ModelSpec, psi: WaveFunction,
     fm = qc_energy_eta(spec, psi, mix)
     gap = beta * f1 + (1.0 - beta) * f2 - fm
     delta = eta1.values - eta2.values
-    quad = mode_norm(spec.modes, delta) ** 2
-    if spec.family == "pauli_fierz":
-        grid = spec.grid
-        w = spec.modes.weights
-        sq = np.sqrt(spec.dispersion.values)
-        density = np.abs(psi.values) ** 2 * grid.measure
-        for p in range(grid.n_particles):
-            table = spec.form_factor.particle_table(p) / sq[None, :]
-            u = 2.0 * np.real(table @ (w * np.conj(delta)))
-            marg = _particle_marginal(grid, density, p)
-            quad += (spec.charge ** 2 / (2.0 * spec.mass_of(p))) \
-                * float(marg @ u ** 2)
+    quad = mode_norm(spec.modes, delta) ** 2 \
+        + spec.coupling.quadratic_excess(spec, psi, delta)
     return Gap(gap=gap, prediction=beta * (1.0 - beta) * quad)
 
 

@@ -91,15 +91,3 @@ def two_particle_nelson(points: int = 12) -> ModelSpec:
     disp = build_dispersion([1.0])
     form = nelson_form_factor(grid, modes, [0.4], dispersion=disp)
     return make_model("nelson", grid, modes, disp, form, "harmonic")
-
-
-PRESETS = {
-    "decoupled": decoupled_reference,
-    "cosine": cosine_coupled_reference,
-    "frozen-mode": frozen_mode_reference,
-    "frozen-minimal": frozen_minimal_coupling,
-    "small-minimal": small_minimal_coupling,
-    "small-polaron": small_polaron,
-    "small-nelson": small_nelson,
-    "two-particle": two_particle_nelson,
-}

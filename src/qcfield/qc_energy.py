@@ -2,9 +2,10 @@
 
 For a field configuration z the particle feels
 
-    H_z = K_0 + sum_i V_z(x_i) + <z|omega|z>,
+    H_z = K_0 + (interaction at the classical field a_z) + <z|omega|z>,
 
-with V_z(x) = 2 Re <z|lambda(x)> for the linearly coupled families and the
+with a_z(x) = 2 Re <z|lambda(x)> and the interaction of the model's coupling
+(qcfield.coupling): the potential sum_i a_z(x_i) for linear coupling, the
 first-order minimal-coupling operator for the vector family.  The energy
 qc_energy(psi, z) = <psi|H_z|psi> and its eta-gauge variant (eta = omega^(1/2) z)
 drive everything downstream.
@@ -189,10 +190,19 @@ def momentum_matrix(grid: ParticleGrid, particle: int, axis: int = 0) -> sp.csr_
 
 
 def assemble_k0(spec: ModelSpec) -> ParticleOperator:
-    """Free particle Hamiltonian: Dirichlet Laplacian plus external potential."""
-    mat = kinetic_matrix(spec) + sp.diags(
-        spec.external_potential.astype(complex), format="csr")
-    return ParticleOperator(matrix=mat.tocsr(), grid=spec.grid)
+    """Free particle Hamiltonian: Dirichlet Laplacian plus external potential.
+
+    K_0 depends on the frozen spec alone, so it is built on the first call
+    and memoised on the spec, as functools.cached_property memoises; callers
+    share the one operator and must not modify it.
+    """
+    k0 = spec.__dict__.get("_k0")
+    if k0 is None:
+        mat = kinetic_matrix(spec) + sp.diags(
+            spec.external_potential.astype(complex), format="csr")
+        k0 = spec.__dict__["_k0"] = ParticleOperator(matrix=mat.tocsr(),
+                                                     grid=spec.grid)
+    return k0
 
 
 def box_ground_energy(grid: ParticleGrid) -> float:
@@ -217,57 +227,30 @@ def field_self_energy(spec: ModelSpec, z: FieldAmplitudes) -> float:
     return float(np.sum(w * om * np.abs(z.values) ** 2))
 
 
-def classical_vector_potential(spec: ModelSpec, z: FieldAmplitudes,
-                               particle: int) -> np.ndarray:
-    """a_z(x) = 2 Re <z|lambda_particle(x)> on the single-particle grid."""
+def effective_potential(spec: ModelSpec, z: FieldAmplitudes,
+                        particle: int = 0) -> np.ndarray:
+    """Classical field a_z(x) = 2 Re sum_j w_j conj(z_j) lambda_p(x;k_j) of one
+    particle on the single-particle grid: under linear coupling the potential
+    V_z that particle feels, under minimal coupling its vector potential."""
     z.require_gauge("z")
     table = spec.form_factor.particle_table(particle)
     return 2.0 * np.real(table @ (spec.modes.weights * np.conj(z.values)))
 
 
-def effective_potential(spec: ModelSpec, z: FieldAmplitudes):
-    """Field-induced particle potential.
-
-    Linear families: the real single-particle potential
-    V_z(x) = 2 Re sum_j w_j conj(z_j) lambda(x;k_j), returned as an array.
-    Minimal coupling: the full first-order interaction operator
-    sum_p (e/2m_p){a_z(x_p), -i d_p} + (e^2/2m_p) a_z(x_p)^2 on the
-    configuration grid, returned as a ParticleOperator.
-    """
-    z.require_gauge("z")
-    if spec.family in ("nelson", "polaron"):
-        table = spec.form_factor.table
-        return 2.0 * np.real(table @ (spec.modes.weights * np.conj(z.values)))
-    return _minimal_coupling_operator(spec, z)
-
-
-def _minimal_coupling_operator(spec: ModelSpec, z: FieldAmplitudes) -> ParticleOperator:
-    grid = spec.grid
-    e = spec.charge
-    total = sp.csr_matrix((grid.total_points, grid.total_points), dtype=complex)
-    for p in range(grid.n_particles):
-        a_vals = grid.lift_single(classical_vector_potential(spec, z, p), p)
-        a_diag = sp.diags(a_vals.astype(complex), format="csr")
-        mom = momentum_matrix(grid, p)
-        m = spec.mass_of(p)
-        cross = (e / (2.0 * m)) * (mom @ a_diag + a_diag @ mom)
-        quad = (e ** 2 / (2.0 * m)) * sp.diags((a_vals ** 2).astype(complex),
-                                               format="csr")
-        total = total + cross + quad
-    return ParticleOperator(matrix=total.tocsr(), grid=grid)
-
-
 def assemble_hz(spec: ModelSpec, z: FieldAmplitudes) -> ParticleOperator:
-    """Effective Hamiltonian H_z with the field self-energy as offset."""
-    k0 = assemble_k0(spec)
-    offset = field_self_energy(spec, z)
-    if spec.family in ("nelson", "polaron"):
-        pot = spec.grid.sum_over_particles(effective_potential(spec, z))
-        mat = k0.matrix + sp.diags(pot.astype(complex), format="csr")
-    else:
-        mat = k0.matrix + _minimal_coupling_operator(spec, z).matrix
-    return ParticleOperator(matrix=mat.tocsr(), grid=spec.grid,
-                            constant_offset=offset)
+    """Effective Hamiltonian H_z with the field self-energy as offset; the
+    coupling's interaction at the classical field A_p = diag a_z(x_p)."""
+    grid = spec.grid
+
+    def field(p):
+        a_vals = grid.lift_single(effective_potential(spec, z, p), p)
+        return sp.diags(a_vals.astype(complex), format="csr")
+
+    interaction = spec.coupling.interaction(
+        spec, field, lambda p: momentum_matrix(grid, p))
+    mat = assemble_k0(spec).matrix + interaction
+    return ParticleOperator(matrix=mat.tocsr(), grid=grid,
+                            constant_offset=field_self_energy(spec, z))
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +279,8 @@ def coupling_expectation(spec: ModelSpec, psi: WaveFunction) -> np.ndarray:
     density = np.abs(psi.values) ** 2 * grid.measure
     out = np.zeros(spec.n_modes, dtype=complex)
     for p in range(grid.n_particles):
-        table = spec.form_factor.particle_table(p)
-        # marginal density of particle p on the single-particle grid
-        marg = density.reshape((grid.single_count,) * grid.n_particles)
-        axes = tuple(i for i in range(grid.n_particles) if i != p)
-        marg = marg.sum(axis=axes) if axes else marg
-        out += table.T @ marg
+        out += spec.form_factor.particle_table(p).T \
+            @ _particle_marginal(grid, density, p)
     return out
 
 
@@ -319,27 +298,8 @@ def _el_field_vector(spec: ModelSpec, psi: WaveFunction,
                      z: FieldAmplitudes) -> np.ndarray:
     """Left side omega_j z_j + <psi| d/d(conj z_j) sum_i V_z(x_i) |psi>."""
     z.require_gauge("z")
-    om = spec.dispersion.values
-    if spec.family in ("nelson", "polaron"):
-        return om * z.values + coupling_expectation(spec, psi)
-
-    grid = spec.grid
-    e = spec.charge
-    density = np.abs(psi.values) ** 2 * grid.measure
-    source = np.zeros(spec.n_modes, dtype=complex)
-    for p in range(grid.n_particles):
-        m = spec.mass_of(p)
-        table = spec.form_factor.particle_table(p)
-        mom = momentum_matrix(grid, p)
-        mom_psi = mom @ psi.values
-        # symmetrized current <psi|{ -i d_p, lambda_j(x_p) }|psi> / 2
-        cross_density = 2.0 * np.real(np.conj(psi.values) * mom_psi) * grid.measure
-        marg_cross = _particle_marginal(grid, cross_density, p)
-        a_vals = classical_vector_potential(spec, z, p)
-        marg_quad = _particle_marginal(grid, density, p) * a_vals
-        source += (e / (2.0 * m)) * (table.T @ marg_cross)
-        source += (e ** 2 / m) * (table.T @ marg_quad)
-    return om * z.values + source
+    return spec.dispersion.values * z.values \
+        + spec.coupling.field_source(spec, psi, z)
 
 
 def _particle_marginal(grid: ParticleGrid, flat: np.ndarray, p: int) -> np.ndarray:

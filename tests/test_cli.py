@@ -2,10 +2,14 @@ import json
 
 import pytest
 
-from qcfield import load_model, save_model
-from qcfield.cli import (EXIT_ASSERTION, EXIT_OK, EXIT_VALIDATION, ConfigError,
-                         main, parse_run_config, render_json)
-from qcfield.presets import cosine_coupled_reference, decoupled_reference
+from qcfield import (CapacityError, ConsistencyError, GaugeError,
+                     ModelAssumptionError, NormalizationError, SolverError,
+                     TruncationError, load_model, save_model)
+from qcfield import cli
+from qcfield.cli import (EXIT_ASSERTION, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION,
+                         ConfigError, main, parse_run_config, render_json)
+from qcfield.presets import (cosine_coupled_reference, decoupled_reference,
+                             two_particle_nelson)
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +127,44 @@ n_max = 2
 """)
     assert main(["fock-sweep", "--config", str(cfg_small),
                  "--out", str(tmp_path / "sw2_out")]) == EXIT_ASSERTION
+
+
+@pytest.mark.parametrize("error, code", [
+    (CapacityError, EXIT_VALIDATION), (ModelAssumptionError, EXIT_VALIDATION),
+    (GaugeError, EXIT_VALIDATION), (NormalizationError, EXIT_VALIDATION),
+    (SolverError, EXIT_SOLVER), (ConsistencyError, EXIT_ASSERTION),
+    (TruncationError, EXIT_ASSERTION)])
+def test_mid_run_error_exit_codes(tmp_path, model_dir, monkeypatch, capsys,
+                                  error, code):
+    def raising_runner(spec, cfg, out_dir):
+        raise error("raised mid-run")
+
+    monkeypatch.setitem(cli._RUNNERS, "qc-min", raising_runner)
+    cfg = _write_cfg(tmp_path / "err.cfg", f"""command = qc-min
+model = {model_dir / 'decoupled.json'}
+""")
+    out = tmp_path / "err_out"
+    assert main(["qc-min", "--config", str(cfg), "--out", str(out)]) == code
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {error.__name__}: raised mid-run"]
+    assert json.loads((out / "results.json").read_text()) == {
+        "command": "qc-min", "error": f"{error.__name__}: raised mid-run"}
+
+
+def test_pekar_kernel_over_cap_exits_validation(tmp_path):
+    # two particles on G = 48: the configuration kernel has 2304^2 entries
+    save_model(two_particle_nelson(points=48), tmp_path / "pair.json")
+    cfg = _write_cfg(tmp_path / "pk.cfg", f"""command = pekar
+model = {tmp_path / 'pair.json'}
+export_kernel = true
+max_iter = 3
+""")
+    out = tmp_path / "pk_out"
+    assert main(["pekar", "--config", str(cfg), "--out", str(out)]) \
+        == EXIT_VALIDATION
+    results = json.loads((out / "results.json").read_text())
+    assert results["command"] == "pekar"
+    assert results["error"].startswith("CapacityError: kernel would need")
 
 
 def test_command_mismatch_rejected(tmp_path, model_dir):

@@ -6,7 +6,8 @@ from qcfield import (TruncationError, assemble_h_eps, assemble_k0,
                      build_fock_basis, coherent_product_state, coherent_tail,
                      dgamma, epsilon_sweep, field_z, ground_eigenpair,
                      ground_energy_eps, ladder_operators, required_n_max,
-                     shell_rule_n_max, stability_lower_bound, trial_energy)
+                     random_wavefunction, shell_rule_n_max,
+                     stability_lower_bound, trial_energy)
 from qcfield.fock import coherent_fock_coefficients
 
 from oracles import (dense_displaced_oscillator,
@@ -200,6 +201,23 @@ def test_trial_energy_variational_upper_bound(cosine, cosine_min):
     h = assemble_h_eps(cosine, basis, eps)
     e, _ = ground_energy_eps(h)
     assert e <= t.energy + 1e-12
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.25])
+def test_trial_gap_minimal_coupling_pair(pf_pair, eps):
+    # the coherent state leaves exactly the normal-ordering term of A_p^2:
+    # gap = eps sum_p (e^2/2m_p) sum_j w_j |lambda_pj|^2 for plane waves
+    psi = random_wavefunction(pf_pair.grid, np.random.default_rng(4))
+    z = field_z([0.3 - 0.2j, -0.1 + 0.25j])
+    basis = build_fock_basis(pf_pair.n_modes,
+                             shell_rule_n_max(pf_pair, z, eps, 1e-14))
+    t = trial_energy(pf_pair, basis, eps, psi, z)
+    w = pf_pair.modes.weights
+    expected = eps * sum(
+        pf_pair.charge ** 2 / (2.0 * pf_pair.mass_of(p))
+        * np.sum(w * np.abs(pf_pair.form_factor.particle_table(p)[0]) ** 2)
+        for p in range(pf_pair.grid.n_particles))
+    assert t.gap == pytest.approx(expected, abs=1e-12)
 
 
 def test_required_n_max_monotone():

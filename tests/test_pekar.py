@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from qcfield import (ConsistencyError, WaveFunction, assemble_k0,
-                     build_dispersion, build_field_modes, build_particle_grid,
+from qcfield import (CapacityError, ConsistencyError, WaveFunction,
+                     assemble_k0, build_dispersion, build_field_modes,
+                     build_particle_grid,
                      convexity_gap, el_residual, eta_pekar,
                      eta_pekar_from_density, eta_pekar_info, eta_to_z,
                      field_eta, fixed_point_eta, ground_eigenpair,
@@ -99,6 +100,17 @@ def test_two_particle_kernel_paths_agree(nelson_pair):
     assert np.max(np.abs(via_matrix - via_modes)) <= 1e-13
     pe = pekar_energy(nelson_pair, psi)
     assert pe.kernel_value == pytest.approx(pe.value, rel=1e-10)
+
+
+def test_pekar_kernel_over_cap_raises():
+    # G^2 = 4.19M entries exceed the default cap of 4M
+    grid = build_particle_grid(1, 1, 8.0, 2048)
+    modes = build_field_modes([[1.0]], weights=[1.0])
+    disp = build_dispersion([1.0])
+    ff = nelson_form_factor(grid, modes, [0.5], dispersion=disp)
+    spec = make_model("nelson", grid, modes, disp, ff, "harmonic")
+    with pytest.raises(CapacityError):
+        pekar_kernel(spec)
 
 
 def test_pekar_energy_zero_coupling():

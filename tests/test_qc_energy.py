@@ -38,6 +38,11 @@ def test_k0_eigen_identity(decoupled):
     assert op.expectation(psi) == pytest.approx(e0, abs=1e-10)
 
 
+def test_k0_built_once_per_spec(decoupled, pf_small):
+    for spec in (decoupled, pf_small):
+        assert assemble_k0(spec) is assemble_k0(spec)
+
+
 def test_effective_potential_zero_field(decoupled):
     v = effective_potential(decoupled, field_z([0.0]))
     assert np.all(v == 0)
@@ -180,7 +185,7 @@ def _fd_gradient(spec, psi, z, step=1e-5):
 
 
 @pytest.mark.parametrize("family", ["nelson_small", "polaron_small",
-                                    "pf_small"])
+                                    "pf_small", "pf_pair"])
 def test_field_gradient_matches_finite_differences(family, request):
     spec = request.getfixturevalue(family)
     rng = np.random.default_rng(13)
@@ -210,7 +215,7 @@ def test_el_residual_at_decoupled_minimizer(decoupled):
 
 
 @pytest.mark.parametrize("family", ["nelson_small", "polaron_small",
-                                    "pf_small"])
+                                    "pf_small", "pf_pair"])
 def test_field_residual_is_weighted_gradient_norm(family, request):
     # the stationarity vector is the coordinate gradient over 2 w_j
     spec = request.getfixturevalue(family)
