@@ -1,7 +1,7 @@
 """Batch front end: run configs in, deterministic result files out.
 
 Usage:
-    qcfield <command> --config <path> [--out <dir>] [--seed <u64>] [--threads <n>]
+    qcfield <command> --config <path> [--out <dir>] [--seed <u64>]
 
 The config is a key-value text file (one `key = value` per line, `#`
 comments); see docs/run_config_schema.txt for the full key list.  Outputs
@@ -10,15 +10,16 @@ written with 17-significant-digit numbers so repeated runs with the same
 config and seed are byte-identical.
 
 Exit codes: 0 success, 2 config/model validation failure, 3 solver
-non-convergence, 4 assertion failure (an embedded check did not hold).  An
-error raised mid-run maps to one of them (see _EXIT_CODES), prints one
-stderr line and leaves results.json with the command and the error.
+non-convergence, 4 assertion failure (an embedded check did not hold).  A
+model that fails to load, and an error raised mid-run, map to one of them
+(see _EXIT_CODES), print one stderr line and leave results.json with the
+command and the error.  BLAS threading follows the standard variables
+(OMP_NUM_THREADS, OPENBLAS_NUM_THREADS), set before the process starts.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -49,7 +50,7 @@ class ConfigError(ValueError):
     pass
 
 
-_FLOAT_KEYS = {"tol_energy", "tol_residual", "tol_gap", "delta", "tail0"}
+_FLOAT_KEYS = {"tol_energy", "tol_residual", "tol_gap", "tail0"}
 _INT_KEYS = {"seed", "max_iter", "n_starts", "n_max", "n_samples",
              "min_shells"}
 # every key of docs/run_config_schema.txt
@@ -65,7 +66,6 @@ _DEFAULTS = {
     "n_samples": 200,
     "min_shells": 4,
     "tail0": 1e-8,
-    "delta": 1e-2,
     "out_dir": "results",
     "export_kernel": False,
 }
@@ -109,7 +109,7 @@ def parse_run_config(path: Path) -> dict:
     if not model_path.exists():
         raise ConfigError(f"model file {model_path} does not exist")
     cfg["model"] = model_path
-    for key in ("tol_energy", "tol_residual", "tol_gap", "tail0", "delta"):
+    for key in ("tol_energy", "tol_residual", "tol_gap", "tail0"):
         if cfg[key] <= 0:
             raise ConfigError(f"{key} must be positive")
     eps = cfg.get("eps_list", [0.5, 0.25, 0.125, 0.0625])
@@ -386,7 +386,9 @@ def run(cfg: dict) -> int:
                                     "validation": report.summary()})
             return EXIT_VALIDATION
     except ValueError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
+        error = f"{type(exc).__name__}: {exc}"
+        print(f"validation error: {error}", file=sys.stderr)
+        write_results(out_dir, {"command": cfg["command"], "error": error})
         return EXIT_VALIDATION
     try:
         code, _ = _RUNNERS[cfg["command"]](spec, cfg, out_dir)
@@ -399,15 +401,6 @@ def run(cfg: dict) -> int:
                     if isinstance(exc, cls))
 
 
-def _apply_thread_cap(n: int | None) -> None:
-    cap = n if n is not None else os.environ.get("QCFIELD_MAX_THREADS")
-    if cap is None:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, str(cap))
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="qcfield",
@@ -416,9 +409,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, type=Path)
     parser.add_argument("--out", type=Path, default=None)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
-    _apply_thread_cap(args.threads)
     try:
         cfg = parse_run_config(args.config)
     except (ConfigError, OSError) as exc:

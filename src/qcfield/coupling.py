@@ -87,13 +87,7 @@ class MinimalCoupling:
         refused when the real 2K x 2K matrix is near-singular."""
         k = spec.n_modes
         b = self.b_vector(spec, psi)
-        mat = np.eye(2 * k)
-        for col in range(2 * k):
-            unit = np.zeros(k, dtype=complex)
-            unit[col % k] = 1.0 if col < k else 1.0j
-            t = self.t_apply(spec, psi, unit)
-            mat[:k, col] += t.real
-            mat[k:, col] += t.imag
+        mat = np.eye(2 * k) + self.t_matrix(spec, psi)
         cond = float(np.linalg.cond(mat))
         if not np.isfinite(cond) or cond > 1e12:
             raise SolverError(f"singular field-minimizer system (cond={cond:.3g})")
@@ -112,17 +106,27 @@ class MinimalCoupling:
             b += (e / (2.0 * spec.mass_of(p))) * (_xi_table(spec, p).T @ marg)
         return b
 
-    def t_apply(self, spec, psi, eta):
-        """(T eta)_j = sum_p (e^2/m_p) <psi| 2 Re<eta|xi(x_p)> xi_j(x_p) |psi>."""
+    def t_matrix(self, spec, psi):
+        """T as a real 2K x 2K matrix on (Re eta, Im eta):
+        sum_p (2e^2/m_p) X_p^T diag(rho_p) X_p W, with X_p = [Re xi_p, Im xi_p]
+        on particle p's grid, rho_p its marginal density and W = diag(w, w).
+        (T eta)_j = sum_p (e^2/m_p) <psi| 2 Re<eta|xi(x_p)> xi_j(x_p) |psi>."""
         grid = spec.grid
         density = np.abs(psi.values) ** 2 * grid.measure
-        out = np.zeros(spec.n_modes, dtype=complex)
+        mat = np.zeros((2 * spec.n_modes, 2 * spec.n_modes))
         for p in range(grid.n_particles):
             xi = _xi_table(spec, p)
-            u = 2.0 * np.real(xi @ (spec.modes.weights * np.conj(eta)))
-            marg = _particle_marginal(grid, density, p) * u
-            out += (spec.charge ** 2 / spec.mass_of(p)) * (xi.T @ marg)
-        return out
+            x = np.hstack([xi.real, xi.imag])
+            rho = _particle_marginal(grid, density, p)
+            mat += (2.0 * spec.charge ** 2 / spec.mass_of(p)) \
+                * ((x.T * rho) @ x)
+        return mat * np.tile(spec.modes.weights, 2)[None, :]
+
+    def t_apply(self, spec, psi, eta):
+        """T eta, by t_matrix on (Re eta, Im eta)."""
+        k = spec.n_modes
+        t = self.t_matrix(spec, psi) @ np.concatenate([eta.real, eta.imag])
+        return t[:k] + 1j * t[k:]
 
     def reduced_value(self, spec, psi):
         """Coupled energy at the solved field."""
@@ -146,8 +150,7 @@ class MinimalCoupling:
 
 def _xi_table(spec, p):
     """xi(x; k_j) = omega_j^(-1/2) lambda_p(x; k_j) on the single-particle grid."""
-    return spec.form_factor.particle_table(p) \
-        / np.sqrt(spec.dispersion.values)[None, :]
+    return spec.form_factor.tables[p] / np.sqrt(spec.dispersion.values)[None, :]
 
 
 LINEAR = LinearCoupling()

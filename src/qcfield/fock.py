@@ -144,7 +144,7 @@ def assemble_h_eps(spec: ModelSpec, basis: FockBasis, epsilon: float,
     sqw = np.sqrt(spec.modes.weights)
 
     def field(p):
-        table = spec.form_factor.particle_table(p)
+        table = spec.form_factor.tables[p]
         op = 0
         for j in range(spec.n_modes):
             lam = grid.lift_single(table[:, j], p)
@@ -336,13 +336,13 @@ def epsilon_sweep(spec: ModelSpec, eps_list, e_qc_ref: float,
 def stability_lower_bound(spec: ModelSpec) -> float:
     """A-priori bound E_eps >= -N^2 sup||omega^(-1/2) lambda||^2 - sup||lambda||.
 
-    Both sup-norms are over grid points of the weighted mode norm; valid for
-    the linearly coupled families with a nonnegative external potential.
+    Both sup-norms are over particles and grid points of the weighted mode
+    norm (FormFactor.weighted_sup); valid for the linearly coupled families
+    with a nonnegative external potential.
     """
     w = spec.modes.weights
-    om = spec.dispersion.values
-    table = spec.form_factor.table
-    sup_lam = float(np.sqrt(np.max((np.abs(table) ** 2 @ w).real)))
-    sup_weighted = float(np.sqrt(np.max((np.abs(table) ** 2 @ (w / om)).real)))
+    form = spec.form_factor
+    sup_lam = float(np.sqrt(form.weighted_sup(w)))
+    sup_weighted = float(np.sqrt(form.weighted_sup(w / spec.dispersion.values)))
     n = spec.grid.n_particles
     return -(n ** 2) * sup_weighted ** 2 - sup_lam

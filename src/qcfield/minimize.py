@@ -150,15 +150,8 @@ class MinimizeResult:
 
 def random_field_start(spec: ModelSpec, rng: np.random.Generator) -> FieldAmplitudes:
     """Gaussian field draw scaled to the coupling strength."""
-    sup = 0.0
-    tables = (spec.form_factor.per_particle
-              if spec.form_factor.per_particle is not None
-              else (spec.form_factor.table,))
-    w = spec.modes.weights
-    om = spec.dispersion.values
-    for t in tables:
-        vals = (np.abs(t) ** 2) @ (w / om)
-        sup = max(sup, float(np.sqrt(vals.max().real)))
+    sup = float(np.sqrt(spec.form_factor.weighted_sup(
+        spec.modes.weights / spec.dispersion.values)))
     scale = sup if sup > 0 else 1.0
     k = spec.n_modes
     draw = rng.standard_normal(k) + 1j * rng.standard_normal(k)

@@ -226,20 +226,16 @@ def build_dispersion(values: Sequence) -> Dispersion:
 
 @dataclass(frozen=True, eq=False)
 class FormFactor:
-    """Coupling table lambda(x; k_j) on the single-particle grid.
+    """Coupling tables lambda_p(x; k_j) on the single-particle grid, one per
+    particle, each of shape (G^d, K).  The linear families' particles share
+    one array; minimal coupling gives each particle its own charges."""
 
-    table has shape (G^d, K).  For particle-dependent charges (minimal
-    coupling), per_particle holds one table per particle and `table` is the
-    first of them.
-    """
+    tables: tuple[np.ndarray, ...]
 
-    table: np.ndarray
-    per_particle: tuple[np.ndarray, ...] | None = None
-
-    def particle_table(self, i: int) -> np.ndarray:
-        if self.per_particle is not None:
-            return self.per_particle[i]
-        return self.table
+    def weighted_sup(self, coef: np.ndarray) -> float:
+        """max_p max_x sum_j coef_j |lambda_p(x; k_j)|^2."""
+        return max(float(np.max(((np.abs(t) ** 2) @ coef).real))
+                   for t in self.tables)
 
 
 def _plane_wave_table(grid: ParticleGrid, modes: FieldModes) -> np.ndarray:
@@ -265,7 +261,7 @@ def nelson_form_factor(grid: ParticleGrid, modes: FieldModes,
                 "sup-norm bound on omega^(-1/2) lambda violated: "
                 "nonzero coupling on a zero-frequency mode")
     table = _plane_wave_table(grid, modes) * lam0[None, :]
-    return FormFactor(table=table)
+    return FormFactor((table,) * grid.n_particles)
 
 
 def polaron_form_factor(grid: ParticleGrid, modes: FieldModes,
@@ -282,7 +278,7 @@ def polaron_form_factor(grid: ParticleGrid, modes: FieldModes,
     with np.errstate(divide="ignore"):
         radial = np.where(mags > 0, mags, 1.0) ** (-expo)
     table = _plane_wave_table(grid, modes) * (np.sqrt(alpha) * radial)[None, :]
-    return FormFactor(table=table)
+    return FormFactor((table,) * grid.n_particles)
 
 
 def pauli_fierz_form_factor(grid: ParticleGrid, modes: FieldModes,
@@ -297,7 +293,7 @@ def pauli_fierz_form_factor(grid: ParticleGrid, modes: FieldModes,
         tables.append(plane * amp[None, :])
     if not tables:
         raise ValueError("need at least one particle table")
-    return FormFactor(table=tables[0], per_particle=tuple(tables))
+    return FormFactor(tuple(tables))
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +320,11 @@ class ModelSpec:
                              "full N-particle grid")
         if np.any(self.external_potential < 0):
             raise ModelAssumptionError("external potential must be >= 0")
+        shape = (self.grid.single_count, self.modes.count)
+        shapes = [np.shape(t) for t in self.form_factor.tables]
+        if shapes != [shape] * self.grid.n_particles:
+            raise ValueError(f"form factor needs {self.grid.n_particles} "
+                             f"table(s) of shape {shape}, got {shapes}")
         if self.family == "polaron":
             if not np.allclose(self.dispersion.values, 1.0):
                 raise ModelAssumptionError("polaron family forces dispersion == 1")
@@ -339,8 +340,6 @@ class ModelSpec:
                 raise ValueError("masses must be positive")
             if self.charge is None:
                 raise ValueError("pauli_fierz needs a charge")
-            if self.form_factor.per_particle is None:
-                raise ValueError("pauli_fierz needs per-particle form factors")
             self.dispersion.require_gap("the minimal-coupling family")
 
     @property
@@ -380,21 +379,14 @@ def make_model(family: str, grid: ParticleGrid, modes: FieldModes,
     w_pot = resolve_potential(external_potential, grid)
     if drop_zero_modes and np.any(dispersion.values == 0):
         keep = dispersion.values > 0
-        tables = [form_factor.particle_table(i) for i in range(grid.n_particles)] \
-            if form_factor.per_particle is not None else [form_factor.table]
-        for t in tables:
+        for t in form_factor.tables:
             if np.any(np.abs(t[:, ~keep]) > 0):
                 raise ModelAssumptionError(
                     "zero-frequency mode with nonzero coupling cannot be dropped")
         modes = FieldModes(momenta=modes.momenta[keep],
                            weights=modes.weights[keep])
         dispersion = Dispersion(values=dispersion.values[keep])
-        if form_factor.per_particle is not None:
-            form_factor = FormFactor(
-                table=form_factor.per_particle[0][:, keep],
-                per_particle=tuple(t[:, keep] for t in form_factor.per_particle))
-        else:
-            form_factor = FormFactor(table=form_factor.table[:, keep])
+        form_factor = FormFactor(tuple(t[:, keep] for t in form_factor.tables))
     spec = ModelSpec(family=family, grid=grid, modes=modes,
                      dispersion=dispersion, form_factor=form_factor,
                      external_potential=w_pot,
@@ -494,51 +486,34 @@ class ValidationReport:
         raise KeyError(name)
 
 
-def _weighted_sup(table: np.ndarray, weights: np.ndarray,
-                  omega_power: np.ndarray) -> float:
-    """max over grid points of sum_j w_j |lambda(x;k_j)|^2 * omega_power_j."""
-    mags = np.abs(table) ** 2  # (S, K)
-    vals = mags @ (weights * omega_power)
-    return float(np.max(vals.real))
-
-
 def validate_model(spec: ModelSpec) -> ValidationReport:
     """Check the family-required coupling bounds; never raises.
 
     Reported values are squared weighted sup-norms, exactly recomputable as
-    max_x sum_j w_j |lambda(x;k_j)|^2 omega_j^p for p in {0, -1, +1}.
+    max_p max_x sum_j w_j |lambda_p(x;k_j)|^2 omega_j^s for s in {0, -1, +1}.
     """
     w = spec.modes.weights
     om = spec.dispersion.values
-    entries: list[BoundCheck] = []
+    form = spec.form_factor
     notes: list[str] = [
         f"modes: {spec.n_modes} user-supplied (lattice choice unvalidated)",
         f"mass gap: {spec.dispersion.mass_gap:.6g}",
     ]
 
-    tables = (spec.form_factor.per_particle
-              if spec.form_factor.per_particle is not None
-              else (spec.form_factor.table,))
+    sup0 = form.weighted_sup(w)
+    entries = [BoundCheck("sup|lambda|^2", sup0, np.isfinite(sup0))]
     inv_om = np.where(om > 0, 1.0 / np.where(om > 0, om, 1.0), np.inf)
-
-    for idx, table in enumerate(tables):
-        tag = f"[{idx}]" if len(tables) > 1 else ""
-        sup0 = _weighted_sup(table, w, np.ones_like(om))
-        entries.append(BoundCheck(f"sup|lambda{tag}|^2", sup0, np.isfinite(sup0)))
-        coupled = np.abs(table).max(axis=0) > 0
-        if np.any(coupled & (om == 0)):
-            entries.append(BoundCheck(f"sup|omega^-1/2 lambda{tag}|^2",
-                                      np.inf, False))
-        else:
-            supm = _weighted_sup(table, w, np.where(coupled, inv_om, 0.0))
-            entries.append(BoundCheck(f"sup|omega^-1/2 lambda{tag}|^2",
-                                      supm, np.isfinite(supm)))
-        if spec.family == "pauli_fierz":
-            supp = _weighted_sup(table, w, om)
-            entries.append(BoundCheck(f"sup|omega^+1/2 lambda{tag}|^2",
-                                      supp, np.isfinite(supp)))
-
+    coupled = np.any([np.abs(t).max(axis=0) > 0 for t in form.tables], axis=0)
+    if np.any(coupled & (om == 0)):
+        entries.append(BoundCheck("sup|omega^-1/2 lambda|^2", np.inf, False))
+    else:
+        supm = form.weighted_sup(w * np.where(coupled, inv_om, 0.0))
+        entries.append(BoundCheck("sup|omega^-1/2 lambda|^2", supm,
+                                  np.isfinite(supm)))
     if spec.family == "pauli_fierz":
+        supp = form.weighted_sup(w * om)
+        entries.append(BoundCheck("sup|omega^+1/2 lambda|^2", supp,
+                                  np.isfinite(supp)))
         entries.append(BoundCheck("mass gap > 0", spec.dispersion.mass_gap,
                                   spec.dispersion.mass_gap > 0))
     if spec.family == "polaron":
@@ -571,6 +546,11 @@ def _complex_in(data) -> np.ndarray:
 
 
 def model_to_json(spec: ModelSpec) -> dict:
+    """Version-1 document: "table" holds particle 0's table, "per_particle"
+    every table, or null when the particles of a linear family share one."""
+    tables = spec.form_factor.tables
+    shared = spec.family != "pauli_fierz" \
+        and all(np.array_equal(t, tables[0]) for t in tables)
     doc = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -587,10 +567,9 @@ def model_to_json(spec: ModelSpec) -> dict:
         },
         "dispersion": spec.dispersion.values.tolist(),
         "form_factor": {
-            "table": _complex_out(spec.form_factor.table),
-            "per_particle": (None if spec.form_factor.per_particle is None
-                             else [_complex_out(t)
-                                   for t in spec.form_factor.per_particle]),
+            "table": _complex_out(tables[0]),
+            "per_particle": (None if shared
+                             else [_complex_out(t) for t in tables]),
         },
         "external_potential": spec.external_potential.tolist(),
         "masses": list(spec.masses) if spec.masses is not None else None,
@@ -613,9 +592,10 @@ def model_from_json(doc: dict) -> ModelSpec:
                                           dtype=float))
     dispersion = Dispersion(values=np.asarray(doc["dispersion"], dtype=float))
     ff = doc["form_factor"]
-    per = (None if ff["per_particle"] is None
-           else tuple(_complex_in(t) for t in ff["per_particle"]))
-    form = FormFactor(table=_complex_in(ff["table"]), per_particle=per)
+    form = FormFactor(
+        (_complex_in(ff["table"]),) * grid.n_particles
+        if ff["per_particle"] is None
+        else tuple(_complex_in(t) for t in ff["per_particle"]))
     return ModelSpec(
         family=doc["family"], grid=grid, modes=modes, dispersion=dispersion,
         form_factor=form,

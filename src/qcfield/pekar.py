@@ -16,10 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConsistencyError, SolverError
+from .errors import (CapacityError, ConsistencyError, ModelAssumptionError,
+                     SolverError)
 from .model import ModelSpec, ParticleGrid, mode_norm
-from .qc_energy import (FieldAmplitudes, WaveFunction, field_eta,
-                        qc_energy_eta, _particle_marginal)
+from .qc_energy import (FieldAmplitudes, WaveFunction, field_eta, mode_source,
+                        qc_energy_eta)
 
 PEKAR_AGREE_TOL = 1e-10
 DEFAULT_KERNEL_CAP = 4_000_000
@@ -74,60 +75,68 @@ def fixed_point_eta(spec: ModelSpec, psi: WaveFunction,
 def kernel_convolve(spec: ModelSpec, density: np.ndarray) -> np.ndarray:
     """(V_kernel * rho)(X) via the mode-sum factorization (no kernel storage).
 
-    Applies the induced kernel -Re sum_{i,j} U(x_i, y_j) to a configuration
+    Applies the induced kernel -Re sum_{p,q} U_pq(x_p, y_q) to a configuration
     density: apply lambda, divide by omega, apply the adjoint.
     """
     grid = spec.grid
-    w = spec.modes.weights
-    om = spec.dispersion.values
-    s_k = np.zeros(spec.n_modes, dtype=complex)
-    for p in range(grid.n_particles):
-        marg = _particle_marginal(grid, density, p)
-        s_k += spec.form_factor.particle_table(p).T @ marg
+    coef = spec.modes.weights / spec.dispersion.values \
+        * np.conj(mode_source(spec, density))
     out = np.zeros(grid.total_points)
-    coef = w / om * np.conj(s_k)
-    for p in range(grid.n_particles):
-        vals = -np.real(spec.form_factor.particle_table(p) @ coef)
-        out += grid.lift_single(vals, p)
+    for p, table in enumerate(spec.form_factor.tables):
+        out += grid.lift_single(-np.real(table @ coef), p)
     return out
 
 
 @dataclass(frozen=True, eq=False)
 class PekarKernel:
-    """Self-interaction kernel induced by eliminating the field.
+    """Self-interaction kernel induced by eliminating a linearly coupled field.
 
-    single_particle holds U(x, y) = <lambda(x)|omega^(-1)|lambda(y)> on
-    single-particle grid pairs; config_matrix holds the N-particle kernel
-    -Re sum_{i,j} U(x_i, y_j) when it fits under the memory cap.
+    pair_kernels[p][q] holds U_pq(x, y) = <lambda_p(x)|omega^(-1)|lambda_q(y)>
+    on single-particle grid pairs; config_matrix holds the N-particle kernel
+    -Re sum_{p,q} U_pq(x_p, y_q).
     """
 
-    single_particle: np.ndarray
-    config_matrix: np.ndarray | None
+    pair_kernels: tuple[tuple[np.ndarray, ...], ...]
+    config_matrix: np.ndarray
     grid: ParticleGrid
+
+    @property
+    def single_particle(self) -> np.ndarray:
+        """The U(x, y) of every particle pair, defined when the particles
+        share one form factor (as in the linear families)."""
+        u = self.pair_kernels[0][0]
+        if any(not np.array_equal(v, u) for row in self.pair_kernels
+               for v in row):
+            raise ModelAssumptionError("the particles' form factors differ; "
+                                       "read pair_kernels")
+        return u
 
 
 def pekar_kernel(spec: ModelSpec,
                  memory_cap: int = DEFAULT_KERNEL_CAP) -> PekarKernel:
-    """Materialize the self-interaction kernel (symmetric by construction)."""
+    """Materialize the self-interaction kernel (symmetric by construction).
+
+    Only a linearly coupled field leaves a kernel; minimal coupling is
+    refused with ModelAssumptionError.
+    """
+    if spec.family == "pauli_fierz":
+        raise ModelAssumptionError("minimal coupling leaves no "
+                                   "self-interaction kernel")
     spec.dispersion.require_gap("the self-interaction kernel")
     grid = spec.grid
     if grid.total_points ** 2 > memory_cap:
         raise CapacityError(
             f"kernel would need {grid.total_points ** 2} entries, over the "
             f"cap {memory_cap}; use kernel_convolve instead")
-    w = spec.modes.weights
-    om = spec.dispersion.values
-    table = spec.form_factor.table
-    # U(x, y) = sum_j (w_j/om_j) conj(lambda(x;k_j)) lambda(y;k_j)
-    u = (table.conj() * (w / om)[None, :]) @ table.T
+    coef = (spec.modes.weights / spec.dispersion.values)[None, :]
+    tables = spec.form_factor.tables
+    pairs = tuple(tuple((ti.conj() * coef) @ tj.T for tj in tables)
+                  for ti in tables)
     config = np.zeros((grid.total_points, grid.total_points))
-    for i in range(grid.n_particles):
-        ti = spec.form_factor.particle_table(i)
-        for j in range(grid.n_particles):
-            tj = spec.form_factor.particle_table(j)
-            uij = (ti.conj() * (w / om)[None, :]) @ tj.T
+    for i, row in enumerate(pairs):
+        for j, uij in enumerate(row):
             config -= np.real(_lift_pair(grid, uij, i, j))
-    return PekarKernel(single_particle=u, config_matrix=config, grid=grid)
+    return PekarKernel(pair_kernels=pairs, config_matrix=config, grid=grid)
 
 
 def _lift_pair(grid: ParticleGrid, u: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -205,10 +214,12 @@ def one_particle_density(psi: WaveFunction, grid: ParticleGrid) -> Density:
 
 
 def eta_pekar_from_density(spec: ModelSpec, rho: Density) -> FieldAmplitudes:
-    """Minimizing field from the one-particle density (identical particles)."""
+    """Linear-coupling minimizing field from the one-particle density of a
+    symmetric psi, whose every particle marginal is rho / N."""
     spec.dispersion.require_gap("the field reduction")
-    table = spec.form_factor.table
-    m = table.T @ (rho.values * spec.grid.spacing ** spec.grid.dim)
+    grid = spec.grid
+    share = rho.values * grid.spacing ** grid.dim / grid.n_particles
+    m = sum(table.T @ share for table in spec.form_factor.tables)
     return field_eta(-m / np.sqrt(spec.dispersion.values))
 
 

@@ -233,7 +233,7 @@ def effective_potential(spec: ModelSpec, z: FieldAmplitudes,
     particle on the single-particle grid: under linear coupling the potential
     V_z that particle feels, under minimal coupling its vector potential."""
     z.require_gauge("z")
-    table = spec.form_factor.particle_table(particle)
+    table = spec.form_factor.tables[particle]
     return 2.0 * np.real(table @ (spec.modes.weights * np.conj(z.values)))
 
 
@@ -269,19 +269,22 @@ def qc_energy_eta(spec: ModelSpec, psi: WaveFunction,
     return qc_energy(spec, psi, eta_to_z(eta, spec.dispersion))
 
 
+def mode_source(spec: ModelSpec, density: np.ndarray) -> np.ndarray:
+    """s_j = sum_p sum_x lambda_p(x;k_j) rho_p(x), with rho_p particle p's
+    marginal of a configuration-grid density (volume element included)."""
+    out = np.zeros(spec.n_modes, dtype=complex)
+    for p, table in enumerate(spec.form_factor.tables):
+        out += table.T @ _particle_marginal(spec.grid, density, p)
+    return out
+
+
 def coupling_expectation(spec: ModelSpec, psi: WaveFunction) -> np.ndarray:
     """Per-mode expectation m_j = <psi| sum_i lambda(x_i;k_j) |psi>.
 
     This is the field-gradient source of the linear families; the minimizing
     configuration solves omega_j z_j + m_j = 0.
     """
-    grid = spec.grid
-    density = np.abs(psi.values) ** 2 * grid.measure
-    out = np.zeros(spec.n_modes, dtype=complex)
-    for p in range(grid.n_particles):
-        out += spec.form_factor.particle_table(p).T \
-            @ _particle_marginal(grid, density, p)
-    return out
+    return mode_source(spec, np.abs(psi.values) ** 2 * spec.grid.measure)
 
 
 def field_gradient(spec: ModelSpec, psi: WaveFunction,

@@ -108,7 +108,7 @@ def test_criterion_04_coherent_trial_state_expansion(decoupled, decoupled_min,
                    for eps in eps_fit]
         slope = np.polyfit(eps_fit, pf_gaps, 1)[0]
         w = frozen_pf.modes.weights
-        table = frozen_pf.form_factor.particle_table(0)
+        table = frozen_pf.form_factor.tables[0]
         analytic = (frozen_pf.charge ** 2
                     * float((np.abs(table[0]) ** 2 @ w).real)
                     / (2.0 * frozen_pf.mass_of(0)))

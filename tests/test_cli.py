@@ -4,7 +4,7 @@ import pytest
 
 from qcfield import (CapacityError, ConsistencyError, GaugeError,
                      ModelAssumptionError, NormalizationError, SolverError,
-                     TruncationError, load_model, save_model)
+                     TruncationError, load_model, model_to_json, save_model)
 from qcfield import cli
 from qcfield.cli import (EXIT_ASSERTION, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION,
                          ConfigError, main, parse_run_config, render_json)
@@ -167,6 +167,60 @@ max_iter = 3
     assert results["error"].startswith("CapacityError: kernel would need")
 
 
+def _version_2(doc):
+    doc["version"] = 2
+
+
+def _one_table_for_two_particles(doc):
+    doc["form_factor"]["per_particle"] = doc["form_factor"]["per_particle"][:1]
+
+
+def _table_two_rows_short(doc):
+    doc["form_factor"]["table"] = doc["form_factor"]["table"][:-2]
+
+
+@pytest.mark.parametrize("model, corrupt, message", [
+    ("decoupled", _version_2, "ValueError: unsupported model version 2"),
+    ("pf_pair", _one_table_for_two_particles,
+     "ValueError: form factor needs 2 table(s) of shape (8, 2), got [(8, 2)]"),
+    ("decoupled", _table_two_rows_short,
+     "ValueError: form factor needs 1 table(s) of shape (64, 1), "
+     "got [(62, 1)]")])
+def test_model_load_failure_writes_results(tmp_path, request, capsys, model,
+                                           corrupt, message):
+    spec = (decoupled_reference() if model == "decoupled"
+            else request.getfixturevalue(model))
+    doc = model_to_json(spec)
+    corrupt(doc)
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    cfg = _write_cfg(tmp_path / "bad.cfg", f"""command = qc-min
+model = {tmp_path / 'bad.json'}
+""")
+    out = tmp_path / "bad_out"
+    assert main(["qc-min", "--config", str(cfg), "--out", str(out)]) \
+        == EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines() == [
+        f"validation error: {message}"]
+    assert json.loads((out / "results.json").read_text()) == {
+        "command": "qc-min", "error": message}
+
+
+def test_pekar_kernel_minimal_coupling_exits_validation(tmp_path, pf_pair):
+    save_model(pf_pair, tmp_path / "pf.json")
+    cfg = _write_cfg(tmp_path / "pk.cfg", f"""command = pekar
+model = {tmp_path / 'pf.json'}
+export_kernel = true
+max_iter = 3
+""")
+    out = tmp_path / "pk_out"
+    assert main(["pekar", "--config", str(cfg), "--out", str(out)]) \
+        == EXIT_VALIDATION
+    assert not (out / "kernel.csv").exists()
+    results = json.loads((out / "results.json").read_text())
+    assert results == {"command": "pekar", "error": "ModelAssumptionError: "
+                       "minimal coupling leaves no self-interaction kernel"}
+
+
 def test_command_mismatch_rejected(tmp_path, model_dir):
     cfg = _write_cfg(tmp_path / "mm.cfg", f"""
 command = qc-min
@@ -217,7 +271,8 @@ model = {model_dir / 'decoupled.json'}
     assert not (tmp_path / "nn_out").exists()
 
 
-@pytest.mark.parametrize("key", ["n_start", "tol_grad", "max_atoms", "scale"])
+@pytest.mark.parametrize("key", ["n_start", "tol_grad", "max_atoms", "scale",
+                                 "delta"])
 def test_unknown_key_exits_validation(tmp_path, model_dir, key):
     cfg = _write_cfg(tmp_path / "uk.cfg", f"""command = qc-min
 model = {model_dir / 'decoupled.json'}

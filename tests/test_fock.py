@@ -215,7 +215,7 @@ def test_trial_gap_minimal_coupling_pair(pf_pair, eps):
     w = pf_pair.modes.weights
     expected = eps * sum(
         pf_pair.charge ** 2 / (2.0 * pf_pair.mass_of(p))
-        * np.sum(w * np.abs(pf_pair.form_factor.particle_table(p)[0]) ** 2)
+        * np.sum(w * np.abs(pf_pair.form_factor.tables[p][0]) ** 2)
         for p in range(pf_pair.grid.n_particles))
     assert t.gap == pytest.approx(expected, abs=1e-12)
 

@@ -49,14 +49,14 @@ def test_nelson_form_factor_zero_coupling():
     grid = build_particle_grid(1, 1, 8.0, 64)
     modes = build_field_modes([[0.0]], weights=[1.0])
     ff = nelson_form_factor(grid, modes, [0.0])
-    assert np.all(ff.table == 0)
+    assert np.all(ff.tables[0] == 0)
 
 
 def test_nelson_form_factor_constant_mode():
     grid = build_particle_grid(1, 1, 8.0, 64)
     modes = build_field_modes([[0.0]], weights=[1.0])
     ff = nelson_form_factor(grid, modes, [0.5])
-    assert np.allclose(ff.table, 0.5)
+    assert np.allclose(ff.tables[0], 0.5)
 
 
 def test_nelson_form_factor_unit_modulus_phase():
@@ -64,8 +64,8 @@ def test_nelson_form_factor_unit_modulus_phase():
     modes = build_field_modes([[1.0]], weights=[1.0])
     ff = nelson_form_factor(grid, modes, [0.5])
     x = grid.axis_coords
-    assert np.allclose(ff.table[:, 0], 0.5 * np.exp(-1j * x))
-    assert np.allclose(np.abs(ff.table), 0.5)
+    assert np.allclose(ff.tables[0][:, 0], 0.5 * np.exp(-1j * x))
+    assert np.allclose(np.abs(ff.tables[0]), 0.5)
 
 
 def test_nelson_zero_mode_with_coupling_rejected():
@@ -80,14 +80,14 @@ def test_polaron_flat_modulus_in_1d():
     grid = build_particle_grid(1, 1, 4.0, 16)
     modes = build_field_modes([[-1.5], [0.5], [2.0]])
     ff = polaron_form_factor(grid, modes, alpha=2.0)
-    assert np.allclose(np.abs(ff.table), np.sqrt(2.0))
+    assert np.allclose(np.abs(ff.tables[0]), np.sqrt(2.0))
 
 
 def test_polaron_modulus_2d():
     grid = build_particle_grid(2, 1, 2.0, 8)
     modes = build_field_modes([[2.0, 0.0]], weights=[1.0])
     ff = polaron_form_factor(grid, modes, alpha=4.0)
-    assert np.allclose(np.abs(ff.table), 2.0 / np.sqrt(2.0))
+    assert np.allclose(np.abs(ff.tables[0]), 2.0 / np.sqrt(2.0))
 
 
 def test_polaron_zero_mode_2d_rejected():
@@ -103,7 +103,7 @@ def test_validation_report_values_recomputable():
     assert report.passes
     w = spec.modes.weights
     om = spec.dispersion.values
-    expected = np.max((np.abs(spec.form_factor.table) ** 2 @ (w / om)).real)
+    expected = np.max((np.abs(spec.form_factor.tables[0]) ** 2 @ (w / om)).real)
     assert report.value_of("sup|omega^-1/2 lambda|^2") == expected
 
 
@@ -159,19 +159,21 @@ def test_trapping_declared():
     assert not is_trapping(flat)
 
 
-def test_json_round_trip(tmp_path):
-    for spec in (decoupled_reference(), small_polaron()):
+def test_json_round_trip(tmp_path, pf_pair):
+    for spec in (decoupled_reference(), small_polaron(), pf_pair):
         doc = model_to_json(spec)
         back = model_from_json(doc)
         assert back.family == spec.family
-        assert np.array_equal(back.form_factor.table, spec.form_factor.table)
+        assert len(back.form_factor.tables) == spec.grid.n_particles
+        for got, want in zip(back.form_factor.tables, spec.form_factor.tables):
+            assert np.array_equal(got, want)
         assert np.array_equal(back.external_potential, spec.external_potential)
         assert np.array_equal(back.modes.weights, spec.modes.weights)
     path = tmp_path / "model.json"
     save_model(decoupled_reference(), path)
     loaded = load_model(path)
     assert loaded.grid.points_per_axis == 64
-    assert mode_norm(loaded.modes, loaded.form_factor.table[0]) == 0.5
+    assert mode_norm(loaded.modes, loaded.form_factor.tables[0][0]) == 0.5
 
 
 def test_trapezoid_default_weights():

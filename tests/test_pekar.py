@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qcfield import (CapacityError, ConsistencyError, WaveFunction,
+from qcfield import (CapacityError, ConsistencyError, FormFactor,
+                     ModelAssumptionError, ModelSpec, WaveFunction,
                      assemble_k0, build_dispersion, build_field_modes,
                      build_particle_grid,
                      convexity_gap, el_residual, eta_pekar,
@@ -59,7 +60,7 @@ def test_pekar_kernel_translation_structure(nelson_small):
     om = nelson_small.dispersion.values
     k_modes = nelson_small.modes.momenta[:, 0]
     i0 = int(np.argmin(np.abs(x)))
-    lam0 = nelson_small.form_factor.table[i0, :] * np.exp(1j * k_modes * x[i0])
+    lam0 = nelson_small.form_factor.tables[0][i0, :] * np.exp(1j * k_modes * x[i0])
 
     def u_of_difference(delta):
         return np.sum(w / om * np.abs(lam0) ** 2 * np.exp(1j * k_modes * delta))
@@ -215,6 +216,49 @@ def test_minimal_coupling_eta_unique(pf_small):
     # the solved field zeroes the stationarity equation
     res = el_residual(pf_small, psi, eta_to_z(eta, pf_small.dispersion))
     assert res.field_residual <= 1e-10
+
+
+def test_minimizing_field_matches_fixed_point_pair(pf_pair):
+    # two particles with different masses and charges: the (1 + T) solve
+    # and the fixed-point iteration meet at the one minimizing field
+    rng = np.random.default_rng(20)
+    psi = random_wavefunction(pf_pair.grid, rng)
+    eta, info = eta_pekar_info(pf_pair, psi)
+    assert info["method"] == "direct"
+    k = pf_pair.n_modes
+    for _ in range(2):
+        start = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        eta_fp, _ = fixed_point_eta(pf_pair, psi, start=start)
+        assert mode_norm(pf_pair.modes, eta.values - eta_fp.values) <= 1e-10
+    res = el_residual(pf_pair, psi, eta_to_z(eta, pf_pair.dispersion))
+    assert res.field_residual <= 1e-10
+
+
+def test_pekar_kernel_refuses_minimal_coupling(pf_small, pf_pair):
+    for spec in (pf_small, pf_pair):
+        with pytest.raises(ModelAssumptionError, match="no self-interaction"):
+            pekar_kernel(spec)
+
+
+def test_pekar_kernel_distinct_particle_tables(nelson_pair):
+    # a linear model whose two particles couple with different strengths:
+    # the configuration kernel still matches the mode-sum route, and there
+    # is no one single-particle kernel to report
+    table = nelson_pair.form_factor.tables[0]
+    spec = ModelSpec(family="nelson", grid=nelson_pair.grid,
+                     modes=nelson_pair.modes,
+                     dispersion=nelson_pair.dispersion,
+                     form_factor=FormFactor((table, 0.5 * table)),
+                     external_potential=nelson_pair.external_potential)
+    psi = random_wavefunction(spec.grid, np.random.default_rng(21))
+    density = np.abs(psi.values) ** 2 * spec.grid.measure
+    kern = pekar_kernel(spec)
+    assert np.max(np.abs(kern.config_matrix @ density
+                         - kernel_convolve(spec, density))) <= 1e-13
+    assert np.array_equal(kern.pair_kernels[0][1],
+                          0.5 * kern.pair_kernels[0][0])
+    with pytest.raises(ModelAssumptionError):
+        kern.single_particle
 
 
 def test_convexity_gap_trivial_cases(nelson_small):

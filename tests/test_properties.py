@@ -1,0 +1,77 @@
+"""Property checks over random small models of all three families."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qcfield import (build_dispersion, build_field_modes, build_particle_grid,
+                     convexity_gap, field_eta, field_gradient, field_z,
+                     make_model, nelson_form_factor, pauli_fierz_form_factor,
+                     polaron_form_factor, qc_energy, random_wavefunction)
+
+MOMENTA = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
+
+
+def _random_model(family, n_particles, n_modes, rng):
+    """A G = 8 model with random momenta, weights, frequencies and couplings."""
+    grid = build_particle_grid(1, n_particles, 4.0, 8)
+    k = rng.choice(MOMENTA, size=n_modes, replace=False)
+    modes = build_field_modes([[x] for x in k],
+                              weights=rng.uniform(0.5, 1.5, n_modes))
+
+    def amplitudes():
+        return rng.uniform(-0.5, 0.5, n_modes) \
+            + 1j * rng.uniform(-0.5, 0.5, n_modes)
+
+    if family == "polaron":
+        alpha = float(rng.uniform(0.1, 1.0))
+        form = polaron_form_factor(grid, modes, alpha)
+        return make_model(family, grid, modes, build_dispersion([1.0] * n_modes),
+                          form, "harmonic", alpha=alpha)
+    disp = build_dispersion(rng.uniform(0.5, 2.0, n_modes))
+    if family == "nelson":
+        form = nelson_form_factor(grid, modes, amplitudes(), dispersion=disp)
+        return make_model(family, grid, modes, disp, form, "harmonic")
+    form = pauli_fierz_form_factor(grid, modes,
+                                   [amplitudes() for _ in range(n_particles)])
+    return make_model(family, grid, modes, disp, form, "harmonic",
+                      masses=rng.uniform(0.5, 2.0, n_particles),
+                      charge=float(rng.uniform(0.1, 0.5)))
+
+
+def _fd_gradient(spec, psi, z, step=1e-5):
+    out = np.zeros(spec.n_modes, dtype=complex)
+    for j in range(spec.n_modes):
+        for direction in (1.0, 1j):
+            zp = z.values.copy()
+            zp[j] += step * direction
+            zm = z.values.copy()
+            zm[j] -= step * direction
+            out[j] += direction * (qc_energy(spec, psi, field_z(zp))
+                                   - qc_energy(spec, psi, field_z(zm))) \
+                / (2 * step)
+    return out
+
+
+@pytest.mark.parametrize("n_particles", [1, 2])
+@pytest.mark.parametrize("family", ["nelson", "polaron", "pauli_fierz"])
+@settings(derandomize=True, deadline=None, max_examples=8, database=None)
+@given(n_modes=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_convexity_and_field_gradient_on_random_models(family, n_particles,
+                                                       n_modes, seed):
+    rng = np.random.default_rng(seed)
+    spec = _random_model(family, n_particles, n_modes, rng)
+    psi = random_wavefunction(spec.grid, rng)
+
+    def draw():
+        return rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
+
+    g = convexity_gap(spec, psi, field_eta(draw()), field_eta(draw()),
+                      float(rng.uniform(0.05, 0.95)))
+    assert abs(g.gap - g.prediction) <= 1e-10 * abs(g.prediction)
+
+    z = field_z(draw())
+    fd = _fd_gradient(spec, psi, z)
+    scale = max(1.0, float(np.max(np.abs(fd))))
+    assert np.max(np.abs(field_gradient(spec, psi, z) - fd)) <= 1e-6 * scale
