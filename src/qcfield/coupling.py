@@ -7,18 +7,21 @@ polaron) adds sum_p A_p and minimal coupling (pauli_fierz) adds
     sum_p (e/2m_p){P_p, A_p} + (e^2/2m_p) A_p^2.
 
 H_z passes the classical field A_p = diag a_z(x_p) and H_eps the quantized
-A_p = sum_j sqrt(w_j) (lambda_j(x_p) a_j^dag + h.c.).  Each coupling also
-gives the field source of the Euler-Lagrange vector, the minimizing field at
-fixed psi, the reduced energy and its gradient, and the field energy's
-quadratic form beyond ||eta||^2.  ModelSpec.coupling picks one from
-BY_FAMILY once per model.
+A_p = sum_j sqrt(w_j) (lambda_j(x_p) a_j^dag + h.c.).  At fixed psi the
+energy is quadratic in eta = omega^(1/2) z (inner products weighted by w):
+
+    E(psi, eta) = <K_0>_psi + ||eta||^2 + 2 Re<eta|b_psi> + Re<eta|T_psi eta>.
+
+Each coupling supplies b_vector and t_matrix (T as a real 2K x 2K matrix on
+(Re eta, Im eta)), from which the field minimizer, the Euler-Lagrange field
+vector and the convexity gap are built once, plus the reduced energy and its
+gradient.  ModelSpec.coupling picks one from BY_FAMILY once per model.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import SolverError
 from .pekar import eta_pekar, kernel_convolve
 from .qc_energy import (assemble_hz, assemble_k0, coupling_expectation,
                         eta_to_z, momentum_matrix, qc_energy_eta,
@@ -26,21 +29,20 @@ from .qc_energy import (assemble_hz, assemble_k0, coupling_expectation,
 
 
 class LinearCoupling:
-    """sum_p A_p: the minimizing field is closed-form and eliminating it
-    leaves a density-density kernel."""
+    """sum_p A_p: the field enters H_z linearly, so T = 0 and eliminating
+    the field leaves a density-density kernel."""
 
     def interaction(self, spec, field, momentum):
         """sum_p field(p); momentum is not used."""
         return sum(field(p) for p in range(spec.grid.n_particles))
 
-    def field_source(self, spec, psi, z):
-        """<psi| d/d(conj z_j) sum_p A_p |psi> = <psi| sum_p lambda_j(x_p) |psi>."""
-        return coupling_expectation(spec, psi)
+    def b_vector(self, spec, psi):
+        """b_j = <psi| sum_p lambda_p(x_p;k_j) |psi> / sqrt(omega_j)."""
+        return coupling_expectation(spec, psi) / np.sqrt(spec.dispersion.values)
 
-    def minimizing_field(self, spec, psi):
-        """Closed form eta_j = -<psi| sum_p lambda_j(x_p) |psi> / sqrt(omega_j)."""
-        m = coupling_expectation(spec, psi)
-        return -m / np.sqrt(spec.dispersion.values), {"method": "closed-form"}
+    def t_matrix(self, spec, psi):
+        """T = 0."""
+        return np.zeros((2 * spec.n_modes, 2 * spec.n_modes))
 
     def reduced_value(self, spec, psi):
         """Reduced energy through the kernel: <K_0> + <rho|V_kernel * rho>."""
@@ -56,14 +58,10 @@ class LinearCoupling:
 
     kernel_value = reduced_value  # pekar_energy checks it against H_z's route
 
-    def quadratic_excess(self, spec, psi, delta):
-        """The field energy's quadratic form is exactly ||delta||^2."""
-        return 0.0
-
 
 class MinimalCoupling:
     """P_p -> P_p + e A_p: through A_p^2 the field's quadratic form depends
-    on psi, so the minimizing field solves (1 + T) eta = -b."""
+    on psi (T != 0), and eliminating the field leaves no kernel."""
 
     def interaction(self, spec, field, momentum):
         """sum_p (e/2m_p)(P_p A_p + A_p P_p) + (e^2/2m_p) A_p A_p."""
@@ -74,25 +72,6 @@ class MinimalCoupling:
             total = total + (e / (2.0 * m)) * (mom @ a + a @ mom) \
                 + (e ** 2 / (2.0 * m)) * (a @ a)
         return total
-
-    def field_source(self, spec, psi, z):
-        """sqrt(omega) (b + T eta) at eta = sqrt(omega) z, so that the
-        Euler-Lagrange vector is sqrt(omega) ((1 + T) eta + b)."""
-        sq = np.sqrt(spec.dispersion.values)
-        return sq * (self.b_vector(spec, psi)
-                     + self.t_apply(spec, psi, sq * z.values))
-
-    def minimizing_field(self, spec, psi):
-        """Direct solve of (1 + T) eta = -b in (Re eta, Im eta) coordinates,
-        refused when the real 2K x 2K matrix is near-singular."""
-        k = spec.n_modes
-        b = self.b_vector(spec, psi)
-        mat = np.eye(2 * k) + self.t_matrix(spec, psi)
-        cond = float(np.linalg.cond(mat))
-        if not np.isfinite(cond) or cond > 1e12:
-            raise SolverError(f"singular field-minimizer system (cond={cond:.3g})")
-        sol = np.linalg.solve(mat, -np.concatenate([b.real, b.imag]))
-        return sol[:k] + 1j * sol[k:], {"method": "direct", "condition": cond}
 
     def b_vector(self, spec, psi):
         """b_j = sum_p (e/2m_p) <psi|{P_p, xi_j(x_p)}|psi>, xi = omega^(-1/2) lambda."""
@@ -122,12 +101,6 @@ class MinimalCoupling:
                 * ((x.T * rho) @ x)
         return mat * np.tile(spec.modes.weights, 2)[None, :]
 
-    def t_apply(self, spec, psi, eta):
-        """T eta, by t_matrix on (Re eta, Im eta)."""
-        k = spec.n_modes
-        t = self.t_matrix(spec, psi) @ np.concatenate([eta.real, eta.imag])
-        return t[:k] + 1j * t[k:]
-
     def reduced_value(self, spec, psi):
         """Coupled energy at the solved field."""
         return qc_energy_eta(spec, psi, eta_pekar(spec, psi))
@@ -141,11 +114,6 @@ class MinimalCoupling:
     def kernel_value(self, spec, psi):
         """None: eliminating a minimally coupled field leaves no kernel."""
         return None
-
-    def quadratic_excess(self, spec, psi, delta):
-        """Re<delta|T delta> = sum_p (e^2/2m_p) <psi| (2 Re<delta|xi(x_p)>)^2 |psi>."""
-        t_delta = self.t_apply(spec, psi, delta)
-        return float(np.sum(spec.modes.weights * np.conj(delta) * t_delta).real)
 
 
 def _xi_table(spec, p):

@@ -21,9 +21,9 @@ from .errors import SolverError
 from .model import ModelSpec, grid_inner, grid_norm, mode_norm
 from .pekar import eta_pekar, pekar_energy
 from .qc_energy import (ELResiduals, FieldAmplitudes, ParticleOperator,
-                        WaveFunction, assemble_hz, assemble_k0, el_residual,
-                        eta_to_z, field_eta, qc_energy_eta,
-                        random_wavefunction)
+                        WaveFunction, assemble_hz, assemble_k0, eta_to_z,
+                        field_eta, qc_energy_eta, random_wavefunction,
+                        _el_residuals)
 
 DENSE_EIG_CUTOFF = 200
 EIG_RESIDUAL_TOL = 1e-9
@@ -172,36 +172,36 @@ def alternating_minimize(spec: ModelSpec,
     residuals do in flat valleys, so both are checked.
     """
     spec.dispersion.require_gap("alternating minimization")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     if init_psi is None and init_eta is None and seed is not None:
         init_psi = random_wavefunction(spec.grid, np.random.default_rng(seed))
-    if init_eta is None:
-        if init_psi is not None:
-            eta = eta_pekar(spec, init_psi)
-        else:
-            eta = field_eta(np.zeros(spec.n_modes))
-    else:
+    if init_eta is not None:
         init_eta.require_gauge("eta")
         eta = init_eta
+    elif init_psi is not None:
+        eta = eta_pekar(spec, init_psi)
+    else:
+        eta = field_eta(np.zeros(spec.n_modes))
 
     trace: list[float] = []
     rows: list[tuple[int, float, float, float]] = []
-    psi = init_psi
     energy = np.inf
     converged = False
-    iterations = 0
+    z = eta_to_z(eta, spec.dispersion)
+    op = assemble_hz(spec, z)  # H_z at the current field, built once per field
     for it in range(1, max_iter + 1):
-        iterations = it
-        z = eta_to_z(eta, spec.dispersion)
-        op = assemble_hz(spec, z)
         e0, psi = ground_eigenpair(op)
         e_psi_step = e0 + op.constant_offset
         trace.append(e_psi_step)
 
         eta = eta_pekar(spec, psi)
-        e_eta_step = qc_energy_eta(spec, psi, eta)
+        z = eta_to_z(eta, spec.dispersion)
+        op = assemble_hz(spec, z)
+        e_eta_step = op.expectation(psi)
         trace.append(e_eta_step)
 
-        res = el_residual(spec, psi, eta_to_z(eta, spec.dispersion))
+        res = _el_residuals(spec, op, psi, z)
         rows.append((it, e_eta_step, res.psi_residual, res.field_residual))
         reference = energy if np.isfinite(energy) else e_psi_step
         decrement = reference - e_eta_step
@@ -211,10 +211,8 @@ def alternating_minimize(spec: ModelSpec,
             converged = True
             break
 
-    z_star = eta_to_z(eta, spec.dispersion)
-    res = el_residual(spec, psi, z_star)
-    return MinimizeResult(psi_star=psi, z_star=z_star, eta_star=eta,
-                          energy=energy, iterations=iterations,
+    return MinimizeResult(psi_star=psi, z_star=z, eta_star=eta,
+                          energy=energy, iterations=it,
                           energy_trace=np.asarray(trace),
                           iteration_rows=tuple(rows),
                           el_residuals=res, converged=converged)

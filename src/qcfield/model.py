@@ -579,29 +579,47 @@ def model_to_json(spec: ModelSpec) -> dict:
     return doc
 
 
+_NUM, _NULL = (int, float), type(None)
+_MODEL_KEYS = {  # JSON type of every key, objects before the keys they hold
+    "family": str, "grid": dict, "grid.dim": int, "grid.n_particles": int,
+    "grid.extent": _NUM, "grid.points_per_axis": int, "modes": dict,
+    "modes.momenta": list, "modes.quadrature_weights": list,
+    "dispersion": list, "form_factor": dict, "form_factor.table": list,
+    "form_factor.per_particle": (list, _NULL), "external_potential": list,
+    "masses": (list, _NULL), "charge": (*_NUM, _NULL), "alpha": (*_NUM, _NULL)}
+
+
 def model_from_json(doc: dict) -> ModelSpec:
-    if doc.get("format") != MODEL_FORMAT:
+    """Model from a version-1 document; a bad key raises ValueError naming it."""
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError("not a model document")
     if doc.get("version") != MODEL_VERSION:
         raise ValueError(f"unsupported model version {doc.get('version')}")
-    g = doc["grid"]
-    grid = ParticleGrid(dim=g["dim"], n_particles=g["n_particles"],
-                        extent=g["extent"], points_per_axis=g["points_per_axis"])
-    modes = FieldModes(momenta=np.asarray(doc["modes"]["momenta"], dtype=float),
-                       weights=np.asarray(doc["modes"]["quadrature_weights"],
-                                          dtype=float))
-    dispersion = Dispersion(values=np.asarray(doc["dispersion"], dtype=float))
-    ff = doc["form_factor"]
-    form = FormFactor(
-        (_complex_in(ff["table"]),) * grid.n_particles
-        if ff["per_particle"] is None
-        else tuple(_complex_in(t) for t in ff["per_particle"]))
+    v = {}  # value by dotted key path
+    for path, kind in _MODEL_KEYS.items():
+        parent, _, key = path.rpartition(".")
+        node = v[parent] if parent else doc
+        if key not in node:
+            raise ValueError(f"model key {path!r} is missing")
+        if not isinstance(node[key], kind):
+            raise ValueError(f"model key {path!r} has the wrong type "
+                             f"({type(node[key]).__name__})")
+        v[path] = node[key]
+    grid = ParticleGrid(**{k: v[f"grid.{k}"] for k in
+                           ("dim", "n_particles", "extent", "points_per_axis")})
+    modes = FieldModes(momenta=np.asarray(v["modes.momenta"], dtype=float),
+                       weights=np.asarray(v["modes.quadrature_weights"], dtype=float))
+    dispersion = Dispersion(values=np.asarray(v["dispersion"], dtype=float))
+    per_particle = v["form_factor.per_particle"]
+    form = FormFactor((_complex_in(v["form_factor.table"]),) * grid.n_particles
+                      if per_particle is None
+                      else tuple(_complex_in(t) for t in per_particle))
     return ModelSpec(
-        family=doc["family"], grid=grid, modes=modes, dispersion=dispersion,
+        family=v["family"], grid=grid, modes=modes, dispersion=dispersion,
         form_factor=form,
-        external_potential=np.asarray(doc["external_potential"], dtype=float),
-        masses=tuple(doc["masses"]) if doc["masses"] is not None else None,
-        charge=doc["charge"], alpha=doc["alpha"])
+        external_potential=np.asarray(v["external_potential"], dtype=float),
+        masses=tuple(v["masses"]) if v["masses"] is not None else None,
+        charge=v["charge"], alpha=v["alpha"])
 
 
 def save_model(spec: ModelSpec, path) -> None:

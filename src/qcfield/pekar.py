@@ -1,13 +1,10 @@
 """Field reduction: the minimizing field for fixed psi and the reduced energy.
 
-Minimizing the coupled energy over the field at fixed psi is an exact
-quadratic problem.  For the linear families the minimizer is closed-form,
-
-    eta_pekar_j = - <psi| sum_i (omega^(-1/2) lambda)(x_i; k_j) |psi>,
-
-and substituting it back yields a self-interaction kernel for the particles
-alone.  For minimal coupling the minimizer solves a real-linear system
-(1 + T) eta = -b instead; qcfield.coupling holds both.
+At fixed psi the coupled energy is quadratic in eta = omega^(1/2) z, with
+the linear term b and the psi-dependent quadratic part T supplied by the
+model's coupling (qcfield.coupling); the minimizing field solves
+(1 + T) eta = -b.  For the linear families T = 0, and substituting eta = -b
+back yields a self-interaction kernel for the particles alone.
 """
 
 from __future__ import annotations
@@ -19,8 +16,8 @@ import numpy as np
 from .errors import (CapacityError, ConsistencyError, ModelAssumptionError,
                      SolverError)
 from .model import ModelSpec, ParticleGrid, mode_norm
-from .qc_energy import (FieldAmplitudes, WaveFunction, field_eta, mode_source,
-                        qc_energy_eta)
+from .qc_energy import (FieldAmplitudes, WaveFunction, apply_field_matrix,
+                        field_eta, mode_source, qc_energy_eta)
 
 PEKAR_AGREE_TOL = 1e-10
 DEFAULT_KERNEL_CAP = 4_000_000
@@ -37,30 +34,33 @@ def eta_pekar(spec: ModelSpec, psi: WaveFunction) -> FieldAmplitudes:
 
 
 def eta_pekar_info(spec: ModelSpec, psi: WaveFunction):
-    """Minimizing field plus solver metadata (condition estimate for the
-    minimal-coupling linear system)."""
+    """Minimizing field by the direct solve of (1 + T) eta = -b in
+    (Re eta, Im eta), plus the matrix's condition (refused above 1e12)."""
     psi.require_normalized()
     spec.dispersion.require_gap("the field reduction")
-    eta, info = spec.coupling.minimizing_field(spec, psi)
-    return field_eta(eta), info
+    k = spec.n_modes
+    b = spec.coupling.b_vector(spec, psi)
+    mat = np.eye(2 * k) + spec.coupling.t_matrix(spec, psi)
+    cond = float(np.linalg.cond(mat))
+    if not np.isfinite(cond) or cond > 1e12:
+        raise SolverError(f"singular field-minimizer system (cond={cond:.3g})")
+    sol = np.linalg.solve(mat, -np.concatenate([b.real, b.imag]))
+    return field_eta(sol[:k] + 1j * sol[k:]), {"method": "direct",
+                                               "condition": cond}
 
 
 def fixed_point_eta(spec: ModelSpec, psi: WaveFunction,
                     start: np.ndarray | None = None,
                     tol: float = 1e-12, max_iter: int = 500):
-    """Iterate eta <- -b - T eta; cross-check for the direct solve.
-
-    Converges when the quadratic coupling is weak (||T|| < 1).
-    """
+    """Iterate eta <- -b - T eta, which converges when ||T|| < 1; a
+    cross-check for the direct solve."""
     psi.require_normalized()
-    if spec.family != "pauli_fierz":
-        raise ValueError("fixed-point iteration applies to minimal coupling only")
-    coupling = spec.coupling
-    b = coupling.b_vector(spec, psi)
+    b = spec.coupling.b_vector(spec, psi)
+    t = spec.coupling.t_matrix(spec, psi)
     eta = np.zeros(spec.n_modes, dtype=complex) if start is None \
         else np.asarray(start, dtype=complex).copy()
     for it in range(1, max_iter + 1):
-        new = -b - coupling.t_apply(spec, psi, eta)
+        new = -b - apply_field_matrix(t, eta)
         if mode_norm(spec.modes, new - eta) <= tol:
             return field_eta(new), it
         eta = new
@@ -215,7 +215,11 @@ def one_particle_density(psi: WaveFunction, grid: ParticleGrid) -> Density:
 
 def eta_pekar_from_density(spec: ModelSpec, rho: Density) -> FieldAmplitudes:
     """Linear-coupling minimizing field from the one-particle density of a
-    symmetric psi, whose every particle marginal is rho / N."""
+    symmetric psi, whose every particle marginal is rho / N.  Refused for
+    minimal coupling, whose field depends on the particle current too."""
+    if spec.family == "pauli_fierz":
+        raise ModelAssumptionError("the minimally coupled field depends on "
+                                   "more than the density")
     spec.dispersion.require_gap("the field reduction")
     grid = spec.grid
     share = rho.values * grid.spacing ** grid.dim / grid.n_particles
@@ -242,7 +246,7 @@ def convexity_gap(spec: ModelSpec, psi: WaveFunction,
 
     gap = beta f(eta1) + (1-beta) f(eta2) - f(beta eta1 + (1-beta) eta2);
     for a quadratic functional it equals beta (1-beta) Q(eta1 - eta2) with Q
-    the purely quadratic part.
+    the purely quadratic part, Q(delta) = ||delta||_w^2 + Re<delta|T delta>_w.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
@@ -254,8 +258,9 @@ def convexity_gap(spec: ModelSpec, psi: WaveFunction,
     fm = qc_energy_eta(spec, psi, mix)
     gap = beta * f1 + (1.0 - beta) * f2 - fm
     delta = eta1.values - eta2.values
+    t_delta = apply_field_matrix(spec.coupling.t_matrix(spec, psi), delta)
     quad = mode_norm(spec.modes, delta) ** 2 \
-        + spec.coupling.quadratic_excess(spec, psi, delta)
+        + float(np.sum(spec.modes.weights * np.conj(delta) * t_delta).real)
     return Gap(gap=gap, prediction=beta * (1.0 - beta) * quad)
 
 

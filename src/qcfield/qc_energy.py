@@ -279,11 +279,7 @@ def mode_source(spec: ModelSpec, density: np.ndarray) -> np.ndarray:
 
 
 def coupling_expectation(spec: ModelSpec, psi: WaveFunction) -> np.ndarray:
-    """Per-mode expectation m_j = <psi| sum_i lambda(x_i;k_j) |psi>.
-
-    This is the field-gradient source of the linear families; the minimizing
-    configuration solves omega_j z_j + m_j = 0.
-    """
+    """Per-mode expectation m_j = <psi| sum_i lambda(x_i;k_j) |psi>."""
     return mode_source(spec, np.abs(psi.values) ** 2 * spec.grid.measure)
 
 
@@ -299,10 +295,19 @@ def field_gradient(spec: ModelSpec, psi: WaveFunction,
 
 def _el_field_vector(spec: ModelSpec, psi: WaveFunction,
                      z: FieldAmplitudes) -> np.ndarray:
-    """Left side omega_j z_j + <psi| d/d(conj z_j) sum_i V_z(x_i) |psi>."""
+    """omega z + sqrt(omega) (b + T eta) at eta = sqrt(omega) z."""
     z.require_gauge("z")
-    return spec.dispersion.values * z.values \
-        + spec.coupling.field_source(spec, psi, z)
+    sq = np.sqrt(spec.dispersion.values)
+    t = spec.coupling.t_matrix(spec, psi)
+    return spec.dispersion.values * z.values + sq * (
+        spec.coupling.b_vector(spec, psi) + apply_field_matrix(t, sq * z.values))
+
+
+def apply_field_matrix(mat: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """A real 2K x 2K matrix applied to eta as (Re eta, Im eta)."""
+    k = eta.shape[0]
+    t = mat @ np.concatenate([eta.real, eta.imag])
+    return t[:k] + 1j * t[k:]
 
 
 def _particle_marginal(grid: ParticleGrid, flat: np.ndarray, p: int) -> np.ndarray:
@@ -325,10 +330,15 @@ def el_residual(spec: ModelSpec, psi: WaveFunction,
 
     psi_residual is ||H_z psi - eps psi|| with eps = <psi|H_z|psi>;
     field_residual is the omega-weighted mode norm of
-    omega z + <psi| d/d(conj z) sum_i V_z(x_i) |psi>.
+    omega z + sqrt(omega) (b + T eta), the field's Euler-Lagrange vector.
     """
     psi.require_normalized()
-    op = assemble_hz(spec, z)
+    return _el_residuals(spec, assemble_hz(spec, z), psi, z)
+
+
+def _el_residuals(spec: ModelSpec, op: ParticleOperator, psi: WaveFunction,
+                  z: FieldAmplitudes) -> ELResiduals:
+    """el_residual with H_z given as op (already built at z)."""
     h_psi = op.apply(psi.values)
     eps = grid_inner(spec.grid, psi.values, h_psi).real
     psi_res = grid_norm(spec.grid, h_psi - eps * psi.values)

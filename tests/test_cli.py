@@ -179,13 +179,36 @@ def _table_two_rows_short(doc):
     doc["form_factor"]["table"] = doc["form_factor"]["table"][:-2]
 
 
+def _no_grid(doc):
+    del doc["grid"]
+
+
+def _grid_a_number(doc):
+    doc["grid"] = 5
+
+
+def _no_form_factor(doc):
+    del doc["form_factor"]
+
+
+def _modes_null(doc):
+    doc["modes"] = None
+
+
 @pytest.mark.parametrize("model, corrupt, message", [
     ("decoupled", _version_2, "ValueError: unsupported model version 2"),
     ("pf_pair", _one_table_for_two_particles,
      "ValueError: form factor needs 2 table(s) of shape (8, 2), got [(8, 2)]"),
     ("decoupled", _table_two_rows_short,
      "ValueError: form factor needs 1 table(s) of shape (64, 1), "
-     "got [(62, 1)]")])
+     "got [(62, 1)]"),
+    ("decoupled", _no_grid, "ValueError: model key 'grid' is missing"),
+    ("decoupled", _grid_a_number,
+     "ValueError: model key 'grid' has the wrong type (int)"),
+    ("decoupled", _no_form_factor,
+     "ValueError: model key 'form_factor' is missing"),
+    ("decoupled", _modes_null,
+     "ValueError: model key 'modes' has the wrong type (NoneType)")])
 def test_model_load_failure_writes_results(tmp_path, request, capsys, model,
                                            corrupt, message):
     spec = (decoupled_reference() if model == "decoupled"

@@ -218,20 +218,33 @@ def test_minimal_coupling_eta_unique(pf_small):
     assert res.field_residual <= 1e-10
 
 
-def test_minimizing_field_matches_fixed_point_pair(pf_pair):
-    # two particles with different masses and charges: the (1 + T) solve
-    # and the fixed-point iteration meet at the one minimizing field
+@pytest.mark.parametrize("model", ["pf_pair", "nelson_pair"])
+def test_minimizing_field_matches_fixed_point_pair(request, model):
+    # two particles (minimal coupling: different masses and charges; linear
+    # coupling: T = 0): the (1 + T) solve and the fixed-point iteration meet
+    # at the one minimizing field
+    spec = request.getfixturevalue(model)
     rng = np.random.default_rng(20)
-    psi = random_wavefunction(pf_pair.grid, rng)
-    eta, info = eta_pekar_info(pf_pair, psi)
+    psi = random_wavefunction(spec.grid, rng)
+    eta, info = eta_pekar_info(spec, psi)
     assert info["method"] == "direct"
-    k = pf_pair.n_modes
+    k = spec.n_modes
     for _ in range(2):
         start = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        eta_fp, _ = fixed_point_eta(pf_pair, psi, start=start)
-        assert mode_norm(pf_pair.modes, eta.values - eta_fp.values) <= 1e-10
-    res = el_residual(pf_pair, psi, eta_to_z(eta, pf_pair.dispersion))
+        eta_fp, _ = fixed_point_eta(spec, psi, start=start)
+        assert mode_norm(spec.modes, eta.values - eta_fp.values) <= 1e-10
+    res = el_residual(spec, psi, eta_to_z(eta, spec.dispersion))
     assert res.field_residual <= 1e-10
+
+
+def test_eta_pekar_from_density_refuses_minimal_coupling(pf_small, pf_pair):
+    # the minimally coupled field depends on the particle current as well
+    rng = np.random.default_rng(21)
+    for spec in (pf_small, pf_pair):
+        psi = random_wavefunction(spec.grid, rng)
+        rho = one_particle_density(psi, spec.grid)
+        with pytest.raises(ModelAssumptionError, match="more than the density"):
+            eta_pekar_from_density(spec, rho)
 
 
 def test_pekar_kernel_refuses_minimal_coupling(pf_small, pf_pair):

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcfield import (build_dispersion, build_field_modes, build_particle_grid,
-                     convexity_gap, field_eta, field_gradient, field_z,
-                     make_model, nelson_form_factor, pauli_fierz_form_factor,
-                     polaron_form_factor, qc_energy, random_wavefunction)
+from qcfield import (alternating_minimize, assemble_k0, build_dispersion,
+                     build_field_modes, build_particle_grid, convexity_gap,
+                     field_eta, field_gradient, field_z, make_model,
+                     nelson_form_factor, pauli_fierz_form_factor,
+                     polaron_form_factor, qc_energy, qc_energy_eta,
+                     random_wavefunction, z_to_eta)
 
 MOMENTA = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
 
@@ -75,3 +77,37 @@ def test_convexity_and_field_gradient_on_random_models(family, n_particles,
     fd = _fd_gradient(spec, psi, z)
     scale = max(1.0, float(np.max(np.abs(fd))))
     assert np.max(np.abs(field_gradient(spec, psi, z) - fd)) <= 1e-6 * scale
+
+
+@pytest.mark.parametrize("n_particles", [1, 2])
+@pytest.mark.parametrize("family", ["nelson", "polaron", "pauli_fierz"])
+@settings(derandomize=True, deadline=None, max_examples=8, database=None)
+@given(n_modes=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_field_quadratic_form_gauge_and_trace_on_random_models(
+        family, n_particles, n_modes, seed):
+    rng = np.random.default_rng(seed)
+    spec = _random_model(family, n_particles, n_modes, rng)
+    psi = random_wavefunction(spec.grid, rng)
+
+    def draw():
+        return rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
+
+    # E(psi, eta) = <K_0> + ||eta||^2 + 2 Re<eta|b> + Re<eta|T eta>, weighted
+    eta = draw()
+    w = spec.modes.weights
+    b = spec.coupling.b_vector(spec, psi)
+    x = np.concatenate([eta.real, eta.imag])
+    terms = [assemble_k0(spec).expectation(psi),
+             float(np.sum(w * np.abs(eta) ** 2)),
+             2.0 * float(np.sum(w * np.conj(eta) * b).real),
+             float((np.tile(w, 2) * x) @ (spec.coupling.t_matrix(spec, psi) @ x))]
+    energy = qc_energy_eta(spec, psi, field_eta(eta))
+    assert abs(energy - sum(terms)) <= 1e-10 * sum(abs(t) for t in terms)
+
+    z = field_z(draw())
+    e_z = qc_energy(spec, psi, z)
+    e_eta = qc_energy_eta(spec, psi, z_to_eta(z, spec.dispersion))
+    assert abs(e_z - e_eta) <= 1e-12 * max(1.0, abs(e_z))
+
+    res = alternating_minimize(spec, init_psi=psi, max_iter=30)
+    assert np.all(np.diff(res.energy_trace) <= 1e-12)
