@@ -23,9 +23,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import (CapacityError, ConsistencyError, GaugeError,
-                     ModelAssumptionError, NormalizationError, SolverError,
-                     TruncationError)
+from .errors import ConsistencyError, SolverError, TruncationError
 
 COMMANDS = ("qc-min", "pekar", "equivalence", "fock-sweep", "convexity",
             "measures-check")
@@ -35,11 +33,10 @@ EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_ASSERTION = 4
 
-# errors raised mid-run and their documented exit codes
-_EXIT_CODES = {CapacityError: EXIT_VALIDATION, GaugeError: EXIT_VALIDATION,
-               ModelAssumptionError: EXIT_VALIDATION,
-               NormalizationError: EXIT_VALIDATION, SolverError: EXIT_SOLVER,
-               ConsistencyError: EXIT_ASSERTION, TruncationError: EXIT_ASSERTION}
+# errors raised mid-run and their documented exit codes; ValueError covers
+# CapacityError, GaugeError, ModelAssumptionError and NormalizationError
+_EXIT_CODES = {SolverError: EXIT_SOLVER, ConsistencyError: EXIT_ASSERTION,
+               TruncationError: EXIT_ASSERTION, ValueError: EXIT_VALIDATION}
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +50,8 @@ class ConfigError(ValueError):
 _FLOAT_KEYS = {"tol_energy", "tol_residual", "tol_gap", "tail0"}
 _INT_KEYS = {"seed", "max_iter", "n_starts", "n_max", "n_samples",
              "min_shells"}
+_INT_MINIMA = {"max_iter": 1, "n_starts": 1, "n_samples": 1, "n_max": 0,
+               "min_shells": 0}
 # every key of docs/run_config_schema.txt
 _KNOWN_KEYS = _FLOAT_KEYS | _INT_KEYS | {"command", "model", "out_dir",
                                          "eps_list", "export_kernel"}
@@ -112,6 +111,9 @@ def parse_run_config(path: Path) -> dict:
     for key in ("tol_energy", "tol_residual", "tol_gap", "tail0"):
         if cfg[key] <= 0:
             raise ConfigError(f"{key} must be positive")
+    for key, low in _INT_MINIMA.items():
+        if cfg.get(key, low) < low:
+            raise ConfigError(f"{key} must be >= {low}")
     eps = cfg.get("eps_list", [0.5, 0.25, 0.125, 0.0625])
     if any(not 0.0 < e <= 1.0 for e in eps) \
             or any(b >= a for a, b in zip(eps, eps[1:])):

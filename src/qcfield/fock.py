@@ -14,8 +14,9 @@ classical-field minimum, which is what the sweep measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain, combinations
 from math import comb, ceil
 
 import numpy as np
@@ -40,23 +41,17 @@ MONOTONE_SLACK = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class FockBasis:
-    """Occupation vectors (n_1 .. n_K) with sum n_j <= n_max.
-
-    Enumeration is graded lexicographic: by total excitation number first,
-    then lexicographically within each shell; the enumeration is total.
-    """
+    """Occupation vectors (n_1 .. n_K) with sum n_j <= n_max in graded
+    lexicographic order: by total excitation number first, then
+    lexicographically within each shell; rank() computes this order."""
 
     n_modes: int
     n_max: int
-    states: np.ndarray  # (dim, K) int
+    states: np.ndarray  # (dim, K) int, row i has rank i
 
     @property
     def dim(self) -> int:
         return self.states.shape[0]
-
-    @cached_property
-    def index(self) -> dict:
-        return {tuple(row): i for i, row in enumerate(self.states)}
 
     @cached_property
     def totals(self) -> np.ndarray:
@@ -65,27 +60,40 @@ class FockBasis:
     def top_shell(self) -> np.ndarray:
         return np.flatnonzero(self.totals == self.n_max)
 
+    @cached_property
+    def _binom(self) -> np.ndarray:  # C(x + m, m) at [x, m], each <= dim
+        return np.array([[comb(x + m, m) for m in range(self.n_modes + 1)]
+                         for x in range(self.n_max + 1)], dtype=np.int64)
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    def rank(self, states: np.ndarray) -> np.ndarray:
+        """Position of each row of states in the graded-lexicographic order.
+
+        A state of total T follows the C(T-1+K, K) states of lower shells.
+        Inside its shell, with suffix sums s_i = n_i + .. + n_K, the states
+        that agree with it before mode i and have n'_i < n_i number
+        C(s_i + K-i, K-i) - C(s_(i+1) + K-i, K-i) (hockey-stick sums).
+        """
+        c, k = self._binom, self.n_modes
+        s = np.cumsum(states[:, ::-1], axis=1)[:, ::-1]
+        m = np.arange(k - 1, 0, -1)  # K - i for modes i = 1 .. K-1
+        return (c[s[:, 0], k] - c[s[:, 0], k - 1]
+                + (c[s[:, :-1], m] - c[s[:, 1:], m]).sum(axis=1))
 
 
 def build_fock_basis(n_modes: int, n_max: int) -> FockBasis:
     if n_modes < 1 or n_max < 0:
         raise ValueError("need n_modes >= 1 and n_max >= 0")
-    states = []
-    for total in range(n_max + 1):
-        states.extend(_compositions(total, n_modes))
-    arr = np.asarray(states, dtype=np.int64)
-    expected = comb(n_modes + n_max, n_max)
-    if arr.shape[0] != expected:
-        raise AssertionError("basis enumeration does not match the binomial count")
-    return FockBasis(n_modes=n_modes, n_max=n_max, states=arr)
+    # stars and bars: K bars among n_max + K slots, n_j = gap before bar j
+    dim = comb(n_modes + n_max, n_max)
+    bars = np.fromiter(chain.from_iterable(combinations(
+        range(n_max + n_modes), n_modes)), dtype=np.int64, count=dim * n_modes)
+    states = np.diff(bars.reshape(dim, n_modes), axis=1, prepend=-1) - 1
+    basis = FockBasis(n_modes=n_modes, n_max=n_max, states=states)
+    ranks = basis.rank(states)
+    order = np.argsort(ranks)
+    if not np.array_equal(ranks[order], np.arange(dim)):
+        raise AssertionError("basis ranks are not a permutation of 0..dim-1")
+    return replace(basis, states=states[order])
 
 
 # ---------------------------------------------------------------------------
@@ -102,20 +110,14 @@ def ladder_operators(basis: FockBasis, epsilon: float):
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must lie in (0, 1]")
     lowering = []
-    index = basis.index
     for j in range(basis.n_modes):
-        rows, cols, vals = [], [], []
-        for col, state in enumerate(basis.states):
-            nj = state[j]
-            if nj == 0:
-                continue
-            tgt = list(state)
-            tgt[j] -= 1
-            rows.append(index[tuple(tgt)])
-            cols.append(col)
-            vals.append(np.sqrt(epsilon * nj))
+        cols = np.flatnonzero(basis.states[:, j])
+        target = basis.states[cols]
+        target[:, j] -= 1
         lowering.append(sp.csr_matrix(
-            (vals, (rows, cols)), shape=(basis.dim, basis.dim), dtype=complex))
+            (np.sqrt(epsilon * basis.states[cols, j]),
+             (basis.rank(target), cols)),
+            shape=(basis.dim, basis.dim), dtype=complex))
     raising = [a.conj().T.tocsr() for a in lowering]
     return lowering, raising
 
@@ -161,12 +163,8 @@ def assemble_h_eps(spec: ModelSpec, basis: FockBasis, epsilon: float,
 
 def ground_energy_eps(h: sp.spmatrix,
                       residual_tol: float = EIG_RESIDUAL_TOL):
-    """Lowest eigenvalue of the quantized Hamiltonian, with its eigenvector.
-
-    The solve is minimize.lowest_eigenpair's: real arithmetic for a real
-    H_eps, dense at small dimension, shift-invert Lanczos when H_eps is
-    narrow-banded and plain Lanczos otherwise; deterministic on every path.
-    """
+    """Lowest eigenvalue of the quantized Hamiltonian, with its eigenvector
+    (minimize.lowest_eigenpair's solve, deterministic on every path)."""
     return lowest_eigenpair(h, residual_tol)
 
 

@@ -320,6 +320,10 @@ class ModelSpec:
                              "full N-particle grid")
         if np.any(self.external_potential < 0):
             raise ModelAssumptionError("external potential must be >= 0")
+        if self.dispersion.values.shape != (self.modes.count,):
+            raise ValueError(f"dispersion needs one value per mode "
+                             f"({self.modes.count}), got "
+                             f"{self.dispersion.values.shape}")
         shape = (self.grid.single_count, self.modes.count)
         shapes = [np.shape(t) for t in self.form_factor.tables]
         if shapes != [shape] * self.grid.n_particles:
@@ -540,9 +544,17 @@ def _complex_out(arr: np.ndarray):
     return stacked.tolist()
 
 
-def _complex_in(data) -> np.ndarray:
-    a = np.asarray(data, dtype=float)
-    return a[..., 0] + 1j * a[..., 1]
+def _array_in(path: str, data, pairs: bool = False) -> np.ndarray:
+    """Finite float array of a model key, complex from [re, im] pairs; a
+    malformed entry raises ValueError naming the key."""
+    bad = f"model key {path!r} has malformed entries"
+    try:
+        a = np.asarray(data, dtype=float)  # null entries become nan
+    except (TypeError, ValueError):
+        raise ValueError(bad) from None
+    if not np.all(np.isfinite(a)) or (pairs and a.shape[-1:] != (2,)):
+        raise ValueError(bad)
+    return a[..., 0] + 1j * a[..., 1] if pairs else a
 
 
 def model_to_json(spec: ModelSpec) -> dict:
@@ -607,18 +619,24 @@ def model_from_json(doc: dict) -> ModelSpec:
         v[path] = node[key]
     grid = ParticleGrid(**{k: v[f"grid.{k}"] for k in
                            ("dim", "n_particles", "extent", "points_per_axis")})
-    modes = FieldModes(momenta=np.asarray(v["modes.momenta"], dtype=float),
-                       weights=np.asarray(v["modes.quadrature_weights"], dtype=float))
-    dispersion = Dispersion(values=np.asarray(v["dispersion"], dtype=float))
-    per_particle = v["form_factor.per_particle"]
-    form = FormFactor((_complex_in(v["form_factor.table"]),) * grid.n_particles
-                      if per_particle is None
-                      else tuple(_complex_in(t) for t in per_particle))
+    table, per_particle = v["form_factor.table"], v["form_factor.per_particle"]
+    form = FormFactor(
+        (_array_in("form_factor.table", table, pairs=True),) * grid.n_particles
+        if per_particle is None else
+        tuple(_array_in("form_factor.per_particle", t, pairs=True)
+              for t in per_particle))
+
+    def arr(path):
+        return _array_in(path, v[path])
+
     return ModelSpec(
-        family=v["family"], grid=grid, modes=modes, dispersion=dispersion,
-        form_factor=form,
-        external_potential=np.asarray(v["external_potential"], dtype=float),
-        masses=tuple(v["masses"]) if v["masses"] is not None else None,
+        family=v["family"], grid=grid,
+        modes=build_field_modes(arr("modes.momenta"),
+                                arr("modes.quadrature_weights")),
+        dispersion=build_dispersion(arr("dispersion")), form_factor=form,
+        external_potential=arr("external_potential"),
+        masses=(tuple(arr("masses").tolist()) if v["masses"] is not None
+                else None),
         charge=v["charge"], alpha=v["alpha"])
 
 

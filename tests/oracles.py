@@ -5,6 +5,7 @@ imports) so the values can be frozen into tests without circularity.
 """
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import minimize as _nm_minimize
 
 # Frozen oracle outputs (computed by the functions below, double precision).
@@ -89,3 +90,42 @@ def dense_displaced_oscillator(eps: float, g: float, omega: float,
     off = np.sqrt(eps) * g * np.sqrt(np.arange(1, n_max + 1))
     h += np.diag(off, 1) + np.diag(off, -1)
     return float(np.linalg.eigvalsh(h)[0])
+
+
+def _compositions(total: int, parts: int):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def fock_states(n_modes: int, n_max: int) -> np.ndarray:
+    """Occupation vectors with total <= n_max, by total, then lexicographic."""
+    states = []
+    for total in range(n_max + 1):
+        states.extend(_compositions(total, n_modes))
+    return np.asarray(states, dtype=np.int64)
+
+
+def ladder_matrices(states: np.ndarray, epsilon: float):
+    """Lowering matrices sqrt(eps n_j) |n - e_j><n| built state by state
+    through a dict of occupation tuples, and their adjoints."""
+    index = {tuple(row): i for i, row in enumerate(states)}
+    dim = len(states)
+    lowering = []
+    for j in range(states.shape[1]):
+        rows, cols, vals = [], [], []
+        for col, state in enumerate(states):
+            nj = state[j]
+            if nj == 0:
+                continue
+            tgt = list(state)
+            tgt[j] -= 1
+            rows.append(index[tuple(tgt)])
+            cols.append(col)
+            vals.append(np.sqrt(epsilon * nj))
+        lowering.append(sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim),
+                                      dtype=complex))
+    return lowering, [a.conj().T.tocsr() for a in lowering]

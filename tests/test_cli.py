@@ -133,7 +133,7 @@ n_max = 2
     (CapacityError, EXIT_VALIDATION), (ModelAssumptionError, EXIT_VALIDATION),
     (GaugeError, EXIT_VALIDATION), (NormalizationError, EXIT_VALIDATION),
     (SolverError, EXIT_SOLVER), (ConsistencyError, EXIT_ASSERTION),
-    (TruncationError, EXIT_ASSERTION)])
+    (TruncationError, EXIT_ASSERTION), (ValueError, EXIT_VALIDATION)])
 def test_mid_run_error_exit_codes(tmp_path, model_dir, monkeypatch, capsys,
                                   error, code):
     def raising_runner(spec, cfg, out_dir):
@@ -195,6 +195,34 @@ def _modes_null(doc):
     doc["modes"] = None
 
 
+def _one_dispersion_for_two_modes(doc):
+    doc["dispersion"] = [1.0]
+
+
+def _negative_weight(doc):
+    doc["modes"]["quadrature_weights"] = [-1.0, 1.0]
+
+
+def _zero_weight(doc):
+    doc["modes"]["quadrature_weights"] = [0.0, 1.0]
+
+
+def _duplicate_momenta(doc):
+    doc["modes"]["momenta"] = [[1.0], [1.0]]
+
+
+def _mass_a_string(doc):
+    doc["masses"] = ["a"]
+
+
+def _table_rows_not_pairs(doc):
+    doc["form_factor"]["table"] = [[1]]
+
+
+def _potential_null_entry(doc):
+    doc["external_potential"][0] = None
+
+
 @pytest.mark.parametrize("model, corrupt, message", [
     ("decoupled", _version_2, "ValueError: unsupported model version 2"),
     ("pf_pair", _one_table_for_two_particles,
@@ -208,7 +236,21 @@ def _modes_null(doc):
     ("decoupled", _no_form_factor,
      "ValueError: model key 'form_factor' is missing"),
     ("decoupled", _modes_null,
-     "ValueError: model key 'modes' has the wrong type (NoneType)")])
+     "ValueError: model key 'modes' has the wrong type (NoneType)"),
+    ("nelson_small", _one_dispersion_for_two_modes,
+     "ValueError: dispersion needs one value per mode (2), got (1,)"),
+    ("nelson_small", _negative_weight,
+     "ValueError: weights must be positive, one per mode"),
+    ("nelson_small", _zero_weight,
+     "ValueError: weights must be positive, one per mode"),
+    ("nelson_small", _duplicate_momenta,
+     "ValueError: mode momenta must be pairwise distinct"),
+    ("pf_small", _mass_a_string,
+     "ValueError: model key 'masses' has malformed entries"),
+    ("decoupled", _table_rows_not_pairs,
+     "ValueError: model key 'form_factor.table' has malformed entries"),
+    ("decoupled", _potential_null_entry,
+     "ValueError: model key 'external_potential' has malformed entries")])
 def test_model_load_failure_writes_results(tmp_path, request, capsys, model,
                                            corrupt, message):
     spec = (decoupled_reference() if model == "decoupled"
@@ -305,6 +347,23 @@ model = {model_dir / 'decoupled.json'}
         parse_run_config(cfg)
     assert main(["qc-min", "--config", str(cfg),
                  "--out", str(tmp_path / "uk_out")]) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("key, low", [("max_iter", 1), ("n_starts", 1),
+                                      ("n_samples", 1), ("n_max", 0),
+                                      ("min_shells", 0)])
+def test_integer_below_range_exits_validation(tmp_path, model_dir, capsys,
+                                              key, low):
+    head = f"command = qc-min\nmodel = {model_dir / 'decoupled.json'}\n"
+    assert parse_run_config(_write_cfg(tmp_path / "ok.cfg",
+                                       head + f"{key} = {low}\n"))[key] == low
+    cfg = _write_cfg(tmp_path / "lo.cfg", head + f"{key} = {low - 1}\n")
+    with pytest.raises(ConfigError, match=f"{key} must be >= {low}"):
+        parse_run_config(cfg)
+    assert main(["qc-min", "--config", str(cfg),
+                 "--out", str(tmp_path / "lo_out")]) == EXIT_VALIDATION
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "lo_out").exists()
 
 
 def test_every_schema_key_accepted(tmp_path, model_dir):

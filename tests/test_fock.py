@@ -11,7 +11,7 @@ from qcfield import (TruncationError, assemble_h_eps, assemble_k0,
 from qcfield.fock import coherent_fock_coefficients
 
 from oracles import (dense_displaced_oscillator,
-                     displaced_oscillator_ground)
+                     displaced_oscillator_ground, fock_states, ladder_matrices)
 
 EPS_LIST = [0.5, 0.25, 0.125, 0.0625]
 
@@ -23,7 +23,23 @@ def test_basis_enumeration_counts():
         # graded: totals never decrease along the enumeration
         assert np.all(np.diff(basis.totals) >= 0)
         # total order: all states distinct
-        assert len(basis.index) == basis.dim
+        assert np.array_equal(basis.rank(basis.states), np.arange(basis.dim))
+
+
+@pytest.mark.parametrize("n_modes, n_max",
+                         [(1, 0), (1, 24), (2, 7), (3, 5), (6, 6), (40, 2)])
+def test_rank_basis_and_ladders_match_enumeration(n_modes, n_max):
+    basis = build_fock_basis(n_modes, n_max)
+    assert np.array_equal(basis.rank(basis.states), np.arange(basis.dim))
+    expected = fock_states(n_modes, n_max)
+    assert basis.states.dtype == expected.dtype
+    assert np.array_equal(basis.states, expected)
+    for got, ref in zip(ladder_operators(basis, 0.3),
+                        ladder_matrices(expected, 0.3)):
+        for a, b in zip(got, ref):  # bit-identical CSR arrays
+            for name in ("data", "indices", "indptr"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 def test_ladder_vacuum_expectation():
@@ -62,7 +78,7 @@ def test_dgamma_values(frozen_mode):
     d = dgamma(basis, frozen_mode.dispersion, 0.5)  # omega = 2
     diag = d.diagonal().real
     assert diag[0] == 0.0
-    idx3 = basis.index[(3,)]
+    idx3 = basis.rank(np.array([[3]]))[0]
     assert diag[idx3] == pytest.approx(3.0)
 
 

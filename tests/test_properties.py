@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcfield import (alternating_minimize, assemble_k0, build_dispersion,
-                     build_field_modes, build_particle_grid, convexity_gap,
-                     field_eta, field_gradient, field_z, make_model,
-                     nelson_form_factor, pauli_fierz_form_factor,
-                     polaron_form_factor, qc_energy, qc_energy_eta,
-                     random_wavefunction, z_to_eta)
+from qcfield import (alternating_minimize, assemble_h_eps, assemble_hz,
+                     assemble_k0, build_dispersion, build_field_modes,
+                     build_fock_basis, build_particle_grid, convexity_gap,
+                     field_eta, field_gradient, field_z, ground_eigenpair,
+                     ground_energy_eps, make_model, nelson_form_factor,
+                     pauli_fierz_form_factor, polaron_form_factor, qc_energy,
+                     qc_energy_eta, random_wavefunction,
+                     stability_lower_bound, trial_energy, z_to_eta)
 
 MOMENTA = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
 
@@ -111,3 +113,25 @@ def test_field_quadratic_form_gauge_and_trace_on_random_models(
 
     res = alternating_minimize(spec, init_psi=psi, max_iter=30)
     assert np.all(np.diff(res.energy_trace) <= 1e-12)
+
+
+@pytest.mark.parametrize("n_particles", [1, 2])
+@pytest.mark.parametrize("family", ["nelson", "polaron", "pauli_fierz"])
+@settings(derandomize=True, deadline=None, max_examples=8, database=None)
+@given(n_modes=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_quantized_ground_energy_between_trial_and_lower_bound(
+        family, n_particles, n_modes, seed):
+    rng = np.random.default_rng(seed)
+    spec = _random_model(family, n_particles, n_modes, rng)
+    eps = float(rng.uniform(0.25, 1.0))
+    basis = build_fock_basis(n_modes, 4)
+    energy, _ = ground_energy_eps(assemble_h_eps(spec, basis, eps))
+
+    # the renormalized, truncated coherent state lies in the truncated space
+    z = field_z(0.5 * (rng.standard_normal(n_modes)
+                       + 1j * rng.standard_normal(n_modes)))
+    _, psi = ground_eigenpair(assemble_hz(spec, z))
+    trial = trial_energy(spec, basis, eps, psi, z, tail_tol=1.0)
+    assert energy <= trial.energy + 1e-12 * max(1.0, abs(trial.energy))
+    if family != "pauli_fierz":
+        assert energy >= stability_lower_bound(spec)

@@ -62,6 +62,23 @@ def box_2048():
     return assemble_k0(spec)
 
 
+def _one_mode_nelson_hz(points):
+    grid = build_particle_grid(1, 1, 8.0, points)
+    modes = build_field_modes([[1.0]], weights=[1.0])
+    disp = build_dispersion([1.0])
+    spec = make_model("nelson", grid, modes, disp,
+                      nelson_form_factor(grid, modes, [0.5], dispersion=disp),
+                      "harmonic")
+    return assemble_hz(spec, field_z([0.3]))
+
+
+@pytest.fixture(scope="module")
+def nelson_32768():
+    """One-mode nelson H_z on a 1-d grid of 32768 points: ||H|| ~ 1.7e7, so
+    round-off alone puts the residual above the unscaled 1e-9."""
+    return _one_mode_nelson_hz(32768)
+
+
 @pytest.fixture(scope="module")
 def minimal_1200():
     """Minimal-coupling H_z at a complex field: complex Hermitian, b = 1."""
@@ -111,12 +128,24 @@ def test_lanczos_wide_band_h_eps(polaron_h_eps, paths):
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_fine_grid_converges_under_scaled_residual(nelson_32768, paths):
+    e0, psi = ground_eigenpair(nelson_32768)
+    assert paths == [("shift-invert", np.float64)]
+    coarse, _ = ground_eigenpair(_one_mode_nelson_hz(2048))
+    assert e0 == pytest.approx(coarse, abs=1e-5)  # O(h^2) apart
+    residual = np.linalg.norm(nelson_32768.matrix @ psi.values
+                              - e0 * psi.values) * np.sqrt(psi.grid.measure)
+    norm = 4.0 / psi.grid.spacing ** 2  # the Laplacian's, ~1.7e7
+    assert residual <= 1e-9 * norm / minimize.RESIDUAL_NORM_SCALE
+
+
 def test_dense_path_real_arithmetic(dense_k0, paths):
     ground_eigenpair(dense_k0)
     assert paths == [("dense", np.float64)]
 
 
-CASES = ["dense_k0", "box_2048", "minimal_1200", "polaron_h_eps"]
+CASES = ["dense_k0", "box_2048", "minimal_1200", "polaron_h_eps",
+         "nelson_32768"]
 
 
 def _solve(case, request, **kwargs):
