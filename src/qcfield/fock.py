@@ -20,16 +20,18 @@ from itertools import chain, combinations
 from math import comb, ceil
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.special import gammainc, gammaln
 
 from .errors import CapacityError, TruncationError
-from .minimize import EIG_RESIDUAL_TOL, lowest_eigenpair
+from .minimize import DENSE_EIG_CUTOFF, EIG_RESIDUAL_TOL, lowest_eigenpair
 from .model import ModelSpec, mode_norm
 from .qc_energy import (FieldAmplitudes, WaveFunction, assemble_k0,
                         momentum_matrix, qc_energy)
 
 DEFAULT_DIMENSION_CAP = 3_000_000
+PRECONDITIONER_MARGIN = 1.0  # sigma sits this far below K_0's spectrum
 COHERENT_TAIL_TOL = 1e-8
 UNRELIABLE_TAIL = 1e-3
 MONOTONE_SLACK = 1e-8
@@ -128,15 +130,18 @@ def dgamma(basis: FockBasis, dispersion, epsilon: float) -> sp.csr_matrix:
     return sp.diags(diag.astype(complex), format="csr")
 
 
+def _check_capacity(dim: int, dimension_cap: int) -> None:
+    if dim > dimension_cap:
+        raise CapacityError(f"tensor dimension {dim} exceeds the cap "
+                            f"{dimension_cap}")
+
+
 def assemble_h_eps(spec: ModelSpec, basis: FockBasis, epsilon: float,
                    dimension_cap: int = DEFAULT_DIMENSION_CAP) -> sp.csr_matrix:
     """Quantized Hamiltonian on the (particle grid) x (Fock basis) space:
     H_z's coupling interaction with the field quantized, A_p (x) a_j^dag."""
     grid = spec.grid
-    dim = grid.total_points * basis.dim
-    if dim > dimension_cap:
-        raise CapacityError(f"tensor dimension {dim} exceeds the cap "
-                            f"{dimension_cap}")
+    _check_capacity(grid.total_points * basis.dim, dimension_cap)
     k0 = assemble_k0(spec).matrix
     eye_f = sp.identity(basis.dim, format="csr", dtype=complex)
     eye_g = sp.identity(grid.total_points, format="csr", dtype=complex)
@@ -162,10 +167,54 @@ def assemble_h_eps(spec: ModelSpec, basis: FockBasis, epsilon: float,
 
 
 def ground_energy_eps(h: sp.spmatrix,
-                      residual_tol: float = EIG_RESIDUAL_TOL):
+                      residual_tol: float = EIG_RESIDUAL_TOL,
+                      preconditioner=None, start: np.ndarray | None = None):
     """Lowest eigenvalue of the quantized Hamiltonian, with its eigenvector
-    (minimize.lowest_eigenpair's solve, deterministic on every path)."""
-    return lowest_eigenpair(h, residual_tol)
+    (minimize.lowest_eigenpair's solve, deterministic on every path).
+
+    Called with h alone it takes lowest_eigenpair's unpreconditioned paths.
+    Given a preconditioner (epsilon_sweep passes uncoupled_preconditioner),
+    an operator above the dense cutoff that is not banded is solved by
+    LOBPCG; start, when given, replaces the all-ones start vector.  Every
+    path ends in the same residual check.
+    """
+    return lowest_eigenpair(h, residual_tol, preconditioner, start)
+
+
+def _k0_eigh(spec: ModelSpec):
+    """Dense eigh of K_0, memoised on the spec beside assemble_k0's K_0;
+    real eigenvectors when K_0 is real."""
+    eig = spec.__dict__.get("_k0_eigh")
+    if eig is None:
+        k0 = assemble_k0(spec).matrix.toarray()
+        eig = spec.__dict__["_k0_eigh"] = scipy.linalg.eigh(
+            k0 if np.any(k0.imag) else k0.real)
+    return eig
+
+
+def uncoupled_preconditioner(spec: ModelSpec, basis: FockBasis,
+                             epsilon: float):
+    """Exact inverse of the uncoupled operator, (K_0 (x) 1 + 1 (x) dGamma -
+    sigma)^-1 with sigma = lambda_0(K_0) - PRECONDITIONER_MARGIN, as a
+    callable on (n,) vectors and (n, m) blocks in the grid-major layout.
+
+    In K_0's eigenbasis U the operator is diagonal, so one application is
+    U^dag x, a divide by lambda_g + eps sum_j omega_j n_j - sigma, and U
+    times the result: two G x G matmuls on a (G, fock dim) array.  dGamma
+    >= 0, so every divisor is at least the margin.
+    """
+    vals, vecs = _k0_eigh(spec)
+    vecs_h = vecs.conj().T
+    occupation = dgamma(basis, spec.dispersion, epsilon).diagonal().real
+    g, f = vals.size, occupation.size
+    sigma = vals[0] - PRECONDITIONER_MARGIN
+    denom = (vals[:, None] - sigma + occupation)[:, :, None]  # (G, F, 1)
+
+    def apply(x):
+        y = (vecs_h @ x.reshape(g, -1)).reshape(g, f, -1) / denom
+        return (vecs @ y.reshape(g, -1)).reshape(x.shape)
+
+    return apply
 
 
 # ---------------------------------------------------------------------------
@@ -300,24 +349,46 @@ def epsilon_sweep(spec: ModelSpec, eps_list, e_qc_ref: float,
     whose ground vector leaves more than 1e-3 of its mass on the top shell
     are flagged unreliable; across reliable rows (top-shell mass <= 1e-6) the
     error sequence must be non-increasing within a 1e-8 slack.
+
+    The tensor dimension G * C(K + n_max, K) is checked against
+    dimension_cap before the basis is enumerated.  With G <= DENSE_EIG_CUTOFF
+    each point passes ground_energy_eps the exact inverse of its uncoupled
+    operator, (K_0 (x) 1 + 1 (x) dGamma - sigma)^-1, and starts from the
+    previous point's ground vector padded with zeros (the first point from
+    the all-ones vector).  Wide-band operators are then solved by LOBPCG,
+    banded ones by shift-invert Lanczos from the same start.  Larger grids
+    take the unpreconditioned solve.  The residual rule is the same on every
+    path.
     """
     eps = [float(e) for e in eps_list]
     if any(not 0.0 < e <= 1.0 for e in eps) \
             or any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError("eps_list must be strictly decreasing within (0, 1]")
     z_ref.require_gauge("z")
-    rows = []
+    grid_pts = spec.grid.total_points
+    rows, prev = [], None
     for e in eps:
         if n_max is not None:
             cutoff = n_max
         else:
             budget = tail0 * (e / eps[0]) ** 2
             cutoff = shell_rule_n_max(spec, z_ref, e, budget, min_shells)
+        _check_capacity(grid_pts * comb(spec.n_modes + cutoff, cutoff),
+                        dimension_cap)
         basis = build_fock_basis(spec.n_modes, cutoff)
         h = assemble_h_eps(spec, basis, e, dimension_cap=dimension_cap)
-        energy, vec = ground_energy_eps(h)
-        grid_pts = spec.grid.total_points
-        resh = np.abs(vec.reshape(grid_pts, basis.dim)) ** 2
+        solve = {}
+        if grid_pts <= DENSE_EIG_CUTOFF:
+            solve["preconditioner"] = uncoupled_preconditioner(spec, basis, e)
+            if prev is not None:
+                # cutoffs never fall along the sweep, and a smaller basis
+                # is the leading block of a larger one: pad with zeros
+                solve["start"] = np.pad(
+                    prev, ((0, 0), (0, basis.dim - prev.shape[1]))).ravel()
+        energy, vec = ground_energy_eps(h, **solve)
+        del h, solve  # the next point's assembly sets the peak memory
+        prev = vec.reshape(grid_pts, basis.dim)
+        resh = np.abs(prev) ** 2
         tail_ind = float(resh[:, basis.top_shell()].sum() / resh.sum())
         rows.append(SweepRow(epsilon=e, energy=energy,
                              abs_err=abs(energy - e_qc_ref), n_max=cutoff,

@@ -10,6 +10,7 @@ and the two routes are compared by the equivalence check.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ from .qc_energy import (ELResiduals, FieldAmplitudes, ParticleOperator,
                         _el_residuals)
 
 DENSE_EIG_CUTOFF = 200
+LOBPCG_MAXITER = 400
 EIG_RESIDUAL_TOL = 1e-9
 RESIDUAL_NORM_SCALE = 1e5  # ||H|| above which the residual bound grows
 DEFAULT_TOL_ENERGY = 1e-10
@@ -72,21 +74,59 @@ def _shift_below_spectrum(mat: sp.csr_matrix) -> float:
     return lower - 1e-6 * max(upper - lower, abs(lower), 1.0)
 
 
+def _residual_bound(mat: sp.csr_matrix, residual_tol: float) -> float:
+    """residual_tol * max(1, ||H||_G / RESIDUAL_NORM_SCALE), ||H||_G the
+    larger end (in magnitude) of the Gershgorin interval."""
+    norm = max(abs(b) for b in _gershgorin_interval(mat))
+    return residual_tol * max(1.0, norm / RESIDUAL_NORM_SCALE)
+
+
+def _lanczos(work: sp.csr_matrix, start: np.ndarray, banded: bool):
+    """ARPACK's lowest pair from start: shift-invert about a Gershgorin lower
+    bound when banded, the smallest algebraic end otherwise."""
+    n = work.shape[0]
+    kwargs = dict(k=1, v0=start, maxiter=50 * n)
+    if banded:
+        sigma = _shift_below_spectrum(work)
+        shifted = (work - sigma * sp.identity(n, format="csr")).tocsc()
+        try:
+            lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:
+            raise SolverError(f"shift-invert factorization failed: "
+                              f"{exc}") from exc
+        kwargs.update(sigma=sigma, which="LM",
+                      OPinv=spla.LinearOperator((n, n), matvec=lu.solve,
+                                                dtype=work.dtype))
+    else:
+        kwargs.update(which="SA")
+    try:
+        return spla.eigsh(work, **kwargs)
+    except spla.ArpackNoConvergence as exc:
+        raise SolverError(f"eigensolver did not converge: {exc}") from exc
+
+
 def lowest_eigenpair(matrix: sp.spmatrix,
-                     residual_tol: float = EIG_RESIDUAL_TOL):
+                     residual_tol: float = EIG_RESIDUAL_TOL,
+                     preconditioner=None, start: np.ndarray | None = None):
     """Smallest eigenvalue and phase-fixed unit eigenvector of a sparse
     Hermitian matrix; the one ground solver behind ground_eigenpair and
     fock.ground_energy_eps.
 
     Real arithmetic when every stored entry is real.  Dense eigh of the
-    lowest pair up to DENSE_EIG_CUTOFF; above it, with half-bandwidth b,
+    lowest pair up to DENSE_EIG_CUTOFF.  Above it, with half-bandwidth b,
     shift-invert Lanczos about a Gershgorin lower bound when b^2 <= n (the
-    LU factor of a banded matrix stays small) and plain Lanczos on the
-    smallest algebraic end otherwise.  Both iterations start from the
-    normalized all-ones vector, so the result is deterministic.  The
+    LU factor of a banded matrix stays small).  Otherwise LOBPCG with block
+    size 1 (Knyazev 2001) when a preconditioner is given: a callable that
+    applies a positive definite approximation of (H - sigma)^-1, sigma below
+    the spectrum, to (n,) vectors and (n, m) blocks.  Without one, plain
+    Lanczos on the smallest algebraic end.  Each iteration starts from
+    start, by default the normalized all-ones vector, so the result is
+    deterministic.  The
     residual ||H v - e v|| is checked on the matrix as given, against
     residual_tol * max(1, ||H||_G / RESIDUAL_NORM_SCALE) with ||H||_G the
     larger end of the Gershgorin interval: round-off in H v grows with ||H||.
+    LOBPCG aims at half that bound; its warnings are dropped, because the
+    residual check alone decides whether a solve converged.
     """
     mat = matrix.tocsr()
     n = mat.shape[0]
@@ -94,31 +134,24 @@ def lowest_eigenpair(matrix: sp.spmatrix,
     if n <= DENSE_EIG_CUTOFF:
         vals, vecs = scipy.linalg.eigh(work.toarray(), subset_by_index=[0, 0])
     else:
-        start = np.ones(n) / np.sqrt(n)
-        kwargs = dict(k=1, v0=start, maxiter=50 * n)
-        if _half_bandwidth(work) ** 2 <= n:
-            sigma = _shift_below_spectrum(work)
-            shifted = (work - sigma * sp.identity(n, format="csr")).tocsc()
-            try:
-                lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A")
-            except RuntimeError as exc:
-                raise SolverError(f"shift-invert factorization failed: "
-                                  f"{exc}") from exc
-            kwargs.update(sigma=sigma, which="LM",
-                          OPinv=spla.LinearOperator((n, n), matvec=lu.solve,
-                                                    dtype=work.dtype))
+        x0 = np.ones(n) if start is None else start
+        x0 = x0 / np.linalg.norm(x0)
+        banded = _half_bandwidth(work) ** 2 <= n
+        if preconditioner is not None and not banded:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                vals, vecs = spla.lobpcg(
+                    work, x0.reshape(n, 1), M=preconditioner,
+                    tol=0.5 * _residual_bound(mat, residual_tol),
+                    maxiter=LOBPCG_MAXITER, largest=False)
         else:
-            kwargs.update(which="SA")
-        try:
-            vals, vecs = spla.eigsh(work, **kwargs)
-        except spla.ArpackNoConvergence as exc:
-            raise SolverError(f"eigensolver did not converge: {exc}") from exc
+            vals, vecs = _lanczos(work, x0, banded)
     e0, v0 = float(vals[0]), vecs[:, 0]
     residual = float(np.linalg.norm(mat @ v0 - e0 * v0))
-    if residual > residual_tol:  # the scaled bound is never below residual_tol
-        norm = max(abs(b) for b in _gershgorin_interval(mat))
-        if residual > residual_tol * max(1.0, norm / RESIDUAL_NORM_SCALE):
-            raise SolverError("ground eigenpair residual too large", residual)
+    # the scaled bound is never below residual_tol
+    if residual > residual_tol and residual > _residual_bound(mat,
+                                                              residual_tol):
+        raise SolverError("ground eigenpair residual too large", residual)
     return e0, _fix_phase(v0)
 
 

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from math import comb
 
-from qcfield import (TruncationError, assemble_h_eps, assemble_k0,
-                     build_fock_basis, coherent_product_state, coherent_tail,
-                     dgamma, epsilon_sweep, field_z, ground_eigenpair,
+from qcfield import (CapacityError, TruncationError, alternating_minimize,
+                     assemble_h_eps, assemble_k0, build_fock_basis,
+                     coherent_product_state, coherent_tail, dgamma,
+                     epsilon_sweep, field_z, ground_eigenpair,
                      ground_energy_eps, ladder_operators, required_n_max,
                      random_wavefunction, shell_rule_n_max,
                      stability_lower_bound, trial_energy)
+from qcfield import fock, minimize
 from qcfield.fock import coherent_fock_coefficients
 
 from oracles import (dense_displaced_oscillator,
@@ -40,6 +42,17 @@ def test_rank_basis_and_ladders_match_enumeration(n_modes, n_max):
             for name in ("data", "indices", "indptr"):
                 x, y = getattr(a, name), getattr(b, name)
                 assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("n_modes, small, large", [(1, 3, 9), (2, 4, 7),
+                                                   (3, 0, 4), (4, 5, 7),
+                                                   (6, 2, 3)])
+def test_smaller_basis_is_leading_block(n_modes, small, large):
+    """The sweep's warm start pads the previous vector with zeros: that is
+    exact because a smaller cutoff's basis is the larger one's first rows."""
+    lo = build_fock_basis(n_modes, small)
+    hi = build_fock_basis(n_modes, large)
+    assert np.array_equal(lo.states, hi.states[:lo.dim])
 
 
 def test_ladder_vacuum_expectation():
@@ -273,3 +286,59 @@ def test_epsilon_sweep_rejects_bad_list(decoupled, decoupled_min):
     with pytest.raises(ValueError):
         epsilon_sweep(decoupled, [1.5, 0.5], decoupled_min.energy,
                       decoupled_min.z_star)
+
+
+def test_epsilon_sweep_checks_capacity_before_enumerating(polaron_small,
+                                                          monkeypatch):
+    """At eps = 1/64 the shell rule asks for n_max = 179: 45 M Fock states,
+    a tensor dimension of 723 M against the 3 M cap."""
+    ref = alternating_minimize(polaron_small)
+
+    def enumerate_basis(*args, **kwargs):
+        raise AssertionError("build_fock_basis called above the cap")
+
+    monkeypatch.setattr(fock, "build_fock_basis", enumerate_basis)
+    with pytest.raises(CapacityError, match="723406320"):
+        epsilon_sweep(polaron_small, [1.0 / 64], ref.energy, ref.z_star)
+
+
+SWEEP_CASES = [("polaron_small", (1.0, 0.8), dict(tail0=1e-2, min_shells=0)),
+               ("pf_small", (0.5, 0.25), {}),
+               ("nelson_pair", (0.5, 0.25), {})]
+
+
+@pytest.mark.parametrize("case, eps_list, rule", SWEEP_CASES,
+                         ids=[c[0] for c in SWEEP_CASES])
+def test_preconditioned_sweep_matches_unpreconditioned_solve(
+        case, eps_list, rule, request, monkeypatch):
+    spec = request.getfixturevalue(case)
+    ref = alternating_minimize(spec)
+    starts = []
+    lobpcg = minimize.spla.lobpcg
+
+    def spy(a, x, *args, **kwargs):
+        starts.append(x[:, 0])
+        return lobpcg(a, x, *args, **kwargs)
+
+    monkeypatch.setattr(minimize.spla, "lobpcg", spy)
+    rep = epsilon_sweep(spec, eps_list, ref.energy, ref.z_star, **rule)
+    assert len(starts) == len(eps_list)  # every point took LOBPCG
+    monkeypatch.undo()
+    budget = rule.get("tail0", fock.COHERENT_TAIL_TOL)
+    grid_pts = spec.grid.total_points
+    for row, start in zip(rep.rows, starts):
+        assert row.n_max == shell_rule_n_max(
+            spec, ref.z_star, row.epsilon,
+            budget * (row.epsilon / eps_list[0]) ** 2,
+            rule.get("min_shells", 4))
+        basis = build_fock_basis(spec.n_modes, row.n_max)
+        h = assemble_h_eps(spec, basis, row.epsilon)
+        if row is not rep.rows[0]:
+            # the start is the previous ground vector padded with zeros
+            start = start.reshape(grid_pts, basis.dim)
+            assert not np.any(start[:, prev_dim:])
+            lead = start[:, :prev_dim].ravel()
+            assert np.linalg.norm(prev_h @ lead - prev_e * lead) <= 1e-8
+        energy, _ = ground_energy_eps(h)
+        prev_h, prev_e, prev_dim = h, energy, basis.dim
+        assert row.energy == pytest.approx(energy, abs=1e-10)

@@ -2,19 +2,24 @@
 
 Small operators take the dense path; above the cutoff a banded operator
 (half-bandwidth b with b^2 <= n) takes shift-invert Lanczos and a wide-band
-one plain Lanczos.  Each test calls a public wrapper (ground_eigenpair or
-ground_energy_eps) and records which path ran.
+one plain Lanczos, or LOBPCG when a preconditioner is given.  Each test
+calls a public wrapper (ground_eigenpair or ground_energy_eps) and records
+which path ran.
 """
+
+import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from qcfield import (SolverError, assemble_h_eps, assemble_hz, assemble_k0,
                      box_ground_energy, build_dispersion, build_field_modes,
-                     build_fock_basis, build_particle_grid, field_z,
+                     build_fock_basis, build_particle_grid, dgamma, field_z,
                      ground_eigenpair, ground_energy_eps, make_model,
                      nelson_form_factor)
-from qcfield import minimize
+from qcfield import fock, minimize
+from qcfield.fock import uncoupled_preconditioner
 from qcfield.presets import (decoupled_reference, small_minimal_coupling,
                              small_polaron)
 
@@ -25,6 +30,7 @@ def paths(monkeypatch):
     ran = []
     spla, linalg = minimize.spla, minimize.scipy.linalg
     eigh, eigsh, splu = linalg.eigh, spla.eigsh, spla.splu
+    lobpcg = spla.lobpcg
 
     def spy_eigh(a, *args, **kwargs):
         ran.append(("dense", a.dtype))
@@ -39,7 +45,12 @@ def paths(monkeypatch):
             ran.append(("lanczos", a.dtype))
         return eigsh(a, *args, **kwargs)
 
+    def spy_lobpcg(a, *args, **kwargs):
+        ran.append(("lobpcg", a.dtype))
+        return lobpcg(a, *args, **kwargs)
+
     monkeypatch.setattr(linalg, "eigh", spy_eigh)
+    monkeypatch.setattr(spla, "lobpcg", spy_lobpcg)
     monkeypatch.setattr(spla, "splu", spy_splu)
     monkeypatch.setattr(spla, "eigsh", spy_eigsh)
     return ran
@@ -93,6 +104,15 @@ def polaron_h_eps():
     return assemble_h_eps(spec, build_fock_basis(spec.n_modes, 4), 0.5)
 
 
+@pytest.fixture(scope="module")
+def polaron_h_eps_preconditioned():
+    """The same H_eps with the inverse of its uncoupled operator."""
+    spec = small_polaron()
+    basis = build_fock_basis(spec.n_modes, 4)
+    return (assemble_h_eps(spec, basis, 0.5),
+            uncoupled_preconditioner(spec, basis, 0.5))
+
+
 def test_shift_invert_real_box_ground(box_2048, paths):
     e0, psi = ground_eigenpair(box_2048)
     assert paths == [("shift-invert", np.float64)]
@@ -128,6 +148,46 @@ def test_lanczos_wide_band_h_eps(polaron_h_eps, paths):
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_lobpcg_preconditioned_h_eps(polaron_h_eps_preconditioned, paths):
+    h, precond = polaron_h_eps_preconditioned
+    e0, vec = ground_energy_eps(h, preconditioner=precond)
+    assert paths == [("lobpcg", np.complex128)]
+    vals = np.linalg.eigvalsh(h.toarray())
+    assert e0 == pytest.approx(vals[0], abs=1e-9)
+    assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_preconditioner_inverts_uncoupled_operator(polaron_small):
+    basis = build_fock_basis(polaron_small.n_modes, 3)
+    eps = 0.5
+    uncoupled = (sp.kron(assemble_k0(polaron_small).matrix,
+                         sp.identity(basis.dim))
+                 + sp.kron(sp.identity(polaron_small.grid.total_points),
+                           dgamma(basis, polaron_small.dispersion, eps)))
+    sigma = (np.linalg.eigvalsh(assemble_k0(polaron_small).matrix.toarray())[0]
+             - fock.PRECONDITIONER_MARGIN)
+    block = np.random.default_rng(7).standard_normal((uncoupled.shape[0], 2))
+    applied = uncoupled_preconditioner(polaron_small, basis, eps)(block)
+    back = uncoupled @ applied - sigma * applied
+    assert np.allclose(back, block, atol=1e-12)
+
+
+@pytest.mark.parametrize("poor", ["start", "maxiter"])
+def test_unconverged_lobpcg_raises_without_warning(
+        polaron_h_eps_preconditioned, monkeypatch, poor):
+    h, precond = polaron_h_eps_preconditioned
+    if poor == "start":  # a solver that hands back its start unchanged
+        def lobpcg(a, x, *args, **kwargs):
+            return np.real(np.vdot(x[:, 0], a @ x[:, 0]))[None], x
+        monkeypatch.setattr(minimize.spla, "lobpcg", lobpcg)
+    else:  # scipy's LOBPCG stopped after two iterations, which warns
+        monkeypatch.setattr(minimize, "LOBPCG_MAXITER", 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="residual"):
+            ground_energy_eps(h, preconditioner=precond)
+
+
 def test_fine_grid_converges_under_scaled_residual(nelson_32768, paths):
     e0, psi = ground_eigenpair(nelson_32768)
     assert paths == [("shift-invert", np.float64)]
@@ -145,7 +205,7 @@ def test_dense_path_real_arithmetic(dense_k0, paths):
 
 
 CASES = ["dense_k0", "box_2048", "minimal_1200", "polaron_h_eps",
-         "nelson_32768"]
+         "polaron_h_eps_preconditioned", "nelson_32768"]
 
 
 def _solve(case, request, **kwargs):
@@ -153,6 +213,9 @@ def _solve(case, request, **kwargs):
     operand = request.getfixturevalue(case)
     if case == "polaron_h_eps":
         return ground_energy_eps(operand, **kwargs)
+    if case == "polaron_h_eps_preconditioned":
+        h, precond = operand
+        return ground_energy_eps(h, preconditioner=precond, **kwargs)
     e0, psi = ground_eigenpair(operand, **kwargs)
     return e0, psi.values
 
