@@ -25,7 +25,7 @@ import scipy.sparse as sp
 from scipy.special import gammainc, gammaln
 
 from .errors import CapacityError, TruncationError
-from .minimize import DENSE_EIG_CUTOFF, EIG_RESIDUAL_TOL, lowest_eigenpair
+from .minimize import EIG_RESIDUAL_TOL, lowest_eigenpair
 from .model import ModelSpec, mode_norm
 from .qc_energy import (FieldAmplitudes, WaveFunction, assemble_k0,
                         momentum_matrix, qc_energy)
@@ -173,10 +173,10 @@ def ground_energy_eps(h: sp.spmatrix,
     (minimize.lowest_eigenpair's solve, deterministic on every path).
 
     Called with h alone it takes lowest_eigenpair's unpreconditioned paths.
-    Given a preconditioner (epsilon_sweep passes uncoupled_preconditioner),
-    an operator above the dense cutoff that is not banded is solved by
-    LOBPCG; start, when given, replaces the all-ones start vector.  Every
-    path ends in the same residual check.
+    Given a preconditioner (epsilon_sweep passes an UncoupledPreconditioner
+    when G <= F), an operator above the dense cutoff that is not banded is
+    solved by LOBPCG; start, when given, replaces the all-ones start vector
+    on every iterative path.  Every path ends in the same residual check.
     """
     return lowest_eigenpair(h, residual_tol, preconditioner, start)
 
@@ -192,29 +192,38 @@ def _k0_eigh(spec: ModelSpec):
     return eig
 
 
-def uncoupled_preconditioner(spec: ModelSpec, basis: FockBasis,
-                             epsilon: float):
+@dataclass(frozen=True, eq=False)
+class UncoupledPreconditioner:
     """Exact inverse of the uncoupled operator, (K_0 (x) 1 + 1 (x) dGamma -
-    sigma)^-1 with sigma = lambda_0(K_0) - PRECONDITIONER_MARGIN, as a
-    callable on (n,) vectors and (n, m) blocks in the grid-major layout.
+    sigma)^-1 with sigma = lambda_0(K_0) - PRECONDITIONER_MARGIN, callable on
+    (n,) vectors and (n, m) blocks in the grid-major layout.
 
     In K_0's eigenbasis U the operator is diagonal, so one application is
     U^dag x, a divide by lambda_g + eps sum_j omega_j n_j - sigma, and U
     times the result: two G x G matmuls on a (G, fock dim) array.  dGamma
-    >= 0, so every divisor is at least the margin.
+    >= 0, so every divisor is at least the margin.  Nothing is computed
+    before the first application, so a solver that takes another path (a
+    banded operator) never pays for K_0's eigendecomposition.
     """
-    vals, vecs = _k0_eigh(spec)
-    vecs_h = vecs.conj().T
-    occupation = dgamma(basis, spec.dispersion, epsilon).diagonal().real
-    g, f = vals.size, occupation.size
-    sigma = vals[0] - PRECONDITIONER_MARGIN
-    denom = (vals[:, None] - sigma + occupation)[:, :, None]  # (G, F, 1)
 
-    def apply(x):
+    spec: ModelSpec
+    basis: FockBasis
+    epsilon: float
+
+    @cached_property
+    def _factors(self):
+        vals, vecs = _k0_eigh(self.spec)
+        occupation = dgamma(self.basis, self.spec.dispersion,
+                            self.epsilon).diagonal().real
+        sigma = vals[0] - PRECONDITIONER_MARGIN
+        denom = (vals[:, None] - sigma + occupation)[:, :, None]  # (G, F, 1)
+        return vecs, vecs.conj().T, denom
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        vecs, vecs_h, denom = self._factors
+        g, f = denom.shape[:2]
         y = (vecs_h @ x.reshape(g, -1)).reshape(g, f, -1) / denom
         return (vecs @ y.reshape(g, -1)).reshape(x.shape)
-
-    return apply
 
 
 # ---------------------------------------------------------------------------
@@ -351,14 +360,17 @@ def epsilon_sweep(spec: ModelSpec, eps_list, e_qc_ref: float,
     error sequence must be non-increasing within a 1e-8 slack.
 
     The tensor dimension G * C(K + n_max, K) is checked against
-    dimension_cap before the basis is enumerated.  With G <= DENSE_EIG_CUTOFF
-    each point passes ground_energy_eps the exact inverse of its uncoupled
-    operator, (K_0 (x) 1 + 1 (x) dGamma - sigma)^-1, and starts from the
-    previous point's ground vector padded with zeros (the first point from
-    the all-ones vector).  Wide-band operators are then solved by LOBPCG,
-    banded ones by shift-invert Lanczos from the same start.  Larger grids
-    take the unpreconditioned solve.  The residual rule is the same on every
-    path.
+    dimension_cap before the basis is enumerated.  Each point starts from
+    the previous point's ground vector padded with zeros (the first point
+    from the all-ones vector).  When the grid has no more points than the
+    Fock basis has states (G <= F), the point also passes ground_energy_eps
+    an UncoupledPreconditioner, the exact inverse of its uncoupled operator
+    (K_0 (x) 1 + 1 (x) dGamma - sigma)^-1: K_0's dense eigendecomposition
+    then costs at most one application, and its G^2 floats are at most
+    the tensor dimension.  lowest_eigenpair picks the path: wide-band
+    operators with a preconditioner are solved by LOBPCG, the rest by
+    Lanczos from the same start (a banded operator never builds the
+    preconditioner).  The residual rule is the same on every path.
     """
     eps = [float(e) for e in eps_list]
     if any(not 0.0 < e <= 1.0 for e in eps) \
@@ -377,16 +389,20 @@ def epsilon_sweep(spec: ModelSpec, eps_list, e_qc_ref: float,
                         dimension_cap)
         basis = build_fock_basis(spec.n_modes, cutoff)
         h = assemble_h_eps(spec, basis, e, dimension_cap=dimension_cap)
-        solve = {}
-        if grid_pts <= DENSE_EIG_CUTOFF:
-            solve["preconditioner"] = uncoupled_preconditioner(spec, basis, e)
-            if prev is not None:
-                # cutoffs never fall along the sweep, and a smaller basis
-                # is the leading block of a larger one: pad with zeros
-                solve["start"] = np.pad(
-                    prev, ((0, 0), (0, basis.dim - prev.shape[1]))).ravel()
-        energy, vec = ground_energy_eps(h, **solve)
-        del h, solve  # the next point's assembly sets the peak memory
+        start = None
+        if prev is not None:
+            # cutoffs never fall along the sweep, and a smaller basis is
+            # the leading block of a larger one: pad with zeros
+            start = np.pad(prev, ((0, 0), (0, basis.dim - prev.shape[1])))
+            start = start.ravel()
+        # K_0's dense eigh (G^3 flops, G^2 floats) costs at most one
+        # application (2 G^2 F) only when G <= F; with fewer Fock states
+        # plain Lanczos on the small operator is faster
+        precond = (UncoupledPreconditioner(spec, basis, e)
+                   if grid_pts <= basis.dim else None)
+        energy, vec = ground_energy_eps(h, preconditioner=precond,
+                                        start=start)
+        del h, start, precond  # the next assembly sets the peak memory
         prev = vec.reshape(grid_pts, basis.dim)
         resh = np.abs(prev) ** 2
         tail_ind = float(resh[:, basis.top_shell()].sum() / resh.sum())

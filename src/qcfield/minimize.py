@@ -105,6 +105,20 @@ def _lanczos(work: sp.csr_matrix, start: np.ndarray, banded: bool):
         raise SolverError(f"eigensolver did not converge: {exc}") from exc
 
 
+def _lobpcg(work: sp.csr_matrix, start: np.ndarray, preconditioner,
+            tol: float):
+    """LOBPCG's lowest pair from start, block size 1.  Its warnings are
+    dropped (the caller's residual check decides convergence); its
+    breakdowns (a degenerate start, a failed eigh) become SolverError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            return spla.lobpcg(work, start.reshape(-1, 1), M=preconditioner,
+                               tol=tol, maxiter=LOBPCG_MAXITER, largest=False)
+        except ValueError as exc:
+            raise SolverError(f"LOBPCG broke down: {exc}") from exc
+
+
 def lowest_eigenpair(matrix: sp.spmatrix,
                      residual_tol: float = EIG_RESIDUAL_TOL,
                      preconditioner=None, start: np.ndarray | None = None):
@@ -119,14 +133,17 @@ def lowest_eigenpair(matrix: sp.spmatrix,
     size 1 (Knyazev 2001) when a preconditioner is given: a callable that
     applies a positive definite approximation of (H - sigma)^-1, sigma below
     the spectrum, to (n,) vectors and (n, m) blocks.  Without one, plain
-    Lanczos on the smallest algebraic end.  Each iteration starts from
-    start, by default the normalized all-ones vector, so the result is
-    deterministic.  The
+    Lanczos on the smallest algebraic end.  The preconditioner is applied
+    on the LOBPCG path alone, so a lazily built one costs nothing on the
+    others.  Every iterative path starts from start, by default the
+    normalized all-ones vector, so the result is deterministic.  The
     residual ||H v - e v|| is checked on the matrix as given, against
     residual_tol * max(1, ||H||_G / RESIDUAL_NORM_SCALE) with ||H||_G the
     larger end of the Gershgorin interval: round-off in H v grows with ||H||.
     LOBPCG aims at half that bound; its warnings are dropped, because the
-    residual check alone decides whether a solve converged.
+    residual check alone decides whether a solve converged.  Solver
+    breakdowns (ARPACK's non-convergence, a failed LU, LOBPCG's ValueError)
+    raise SolverError.
     """
     mat = matrix.tocsr()
     n = mat.shape[0]
@@ -138,12 +155,8 @@ def lowest_eigenpair(matrix: sp.spmatrix,
         x0 = x0 / np.linalg.norm(x0)
         banded = _half_bandwidth(work) ** 2 <= n
         if preconditioner is not None and not banded:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                vals, vecs = spla.lobpcg(
-                    work, x0.reshape(n, 1), M=preconditioner,
-                    tol=0.5 * _residual_bound(mat, residual_tol),
-                    maxiter=LOBPCG_MAXITER, largest=False)
+            vals, vecs = _lobpcg(work, x0, preconditioner,
+                                 0.5 * _residual_bound(mat, residual_tol))
         else:
             vals, vecs = _lanczos(work, x0, banded)
     e0, v0 = float(vals[0]), vecs[:, 0]

@@ -11,6 +11,7 @@ from qcfield import (CapacityError, TruncationError, alternating_minimize,
                      stability_lower_bound, trial_energy)
 from qcfield import fock, minimize
 from qcfield.fock import coherent_fock_coefficients
+from qcfield.presets import two_particle_nelson
 
 from oracles import (dense_displaced_oscillator,
                      displaced_oscillator_ground, fock_states, ladder_matrices)
@@ -307,33 +308,41 @@ SWEEP_CASES = [("polaron_small", (1.0, 0.8), dict(tail0=1e-2, min_shells=0)),
                ("nelson_pair", (0.5, 0.25), {})]
 
 
+def _spy_solves(monkeypatch):
+    """(preconditioner, start) of every sweep solve, in order."""
+    solves = []
+    lowest_eigenpair = fock.lowest_eigenpair
+
+    def spy(h, residual_tol, preconditioner, start):
+        solves.append((preconditioner, start))
+        return lowest_eigenpair(h, residual_tol, preconditioner, start)
+
+    monkeypatch.setattr(fock, "lowest_eigenpair", spy)
+    return solves
+
+
 @pytest.mark.parametrize("case, eps_list, rule", SWEEP_CASES,
                          ids=[c[0] for c in SWEEP_CASES])
 def test_preconditioned_sweep_matches_unpreconditioned_solve(
         case, eps_list, rule, request, monkeypatch):
     spec = request.getfixturevalue(case)
     ref = alternating_minimize(spec)
-    starts = []
-    lobpcg = minimize.spla.lobpcg
-
-    def spy(a, x, *args, **kwargs):
-        starts.append(x[:, 0])
-        return lobpcg(a, x, *args, **kwargs)
-
-    monkeypatch.setattr(minimize.spla, "lobpcg", spy)
+    solves = _spy_solves(monkeypatch)
     rep = epsilon_sweep(spec, eps_list, ref.energy, ref.z_star, **rule)
-    assert len(starts) == len(eps_list)  # every point took LOBPCG
     monkeypatch.undo()
     budget = rule.get("tail0", fock.COHERENT_TAIL_TOL)
     grid_pts = spec.grid.total_points
-    for row, start in zip(rep.rows, starts):
+    for row, (precond, start) in zip(rep.rows, solves, strict=True):
         assert row.n_max == shell_rule_n_max(
             spec, ref.z_star, row.epsilon,
             budget * (row.epsilon / eps_list[0]) ** 2,
             rule.get("min_shells", 4))
         basis = build_fock_basis(spec.n_modes, row.n_max)
+        assert (precond is not None) == (grid_pts <= basis.dim)
         h = assemble_h_eps(spec, basis, row.epsilon)
-        if row is not rep.rows[0]:
+        if row is rep.rows[0]:
+            assert start is None
+        else:
             # the start is the previous ground vector padded with zeros
             start = start.reshape(grid_pts, basis.dim)
             assert not np.any(start[:, prev_dim:])
@@ -342,3 +351,52 @@ def test_preconditioned_sweep_matches_unpreconditioned_solve(
         energy, _ = ground_energy_eps(h)
         prev_h, prev_e, prev_dim = h, energy, basis.dim
         assert row.energy == pytest.approx(energy, abs=1e-10)
+
+
+def test_banded_sweep_never_builds_preconditioner(decoupled, decoupled_min,
+                                                  monkeypatch):
+    """lowest_eigenpair solves a banded H_eps by shift-invert, so the
+    preconditioner it is handed is never applied nor factorized."""
+    def k0_eigh(spec):
+        raise AssertionError("K_0 eigendecomposition on a banded sweep")
+
+    monkeypatch.setattr(fock, "_k0_eigh", k0_eigh)
+    rep = epsilon_sweep(decoupled, EPS_LIST, decoupled_min.energy,
+                        decoupled_min.z_star)
+    assert rep.monotone_ok and rep.all_reliable
+
+
+@pytest.mark.parametrize("n_max, solver", [(3, "lanczos"),
+                                           (255, "lobpcg")])
+def test_sweep_preconditions_when_grid_within_fock_dimension(
+        n_max, solver, monkeypatch):
+    """G = 256, above DENSE_EIG_CUTOFF, on either side of G <= F: F = 4
+    takes plain Lanczos without building K_0's eigendecomposition, F = 256
+    takes LOBPCG with the preconditioner."""
+    spec = two_particle_nelson(points=16)
+    basis = build_fock_basis(spec.n_modes, n_max)
+    ran = []
+    eigsh, lobpcg, k0_eigh = (minimize.spla.eigsh, minimize.spla.lobpcg,
+                              fock._k0_eigh)
+
+    def spy_eigsh(*args, **kwargs):
+        ran.append("lanczos")
+        return eigsh(*args, **kwargs)
+
+    def spy_lobpcg(*args, **kwargs):
+        ran.append("lobpcg")
+        return lobpcg(*args, **kwargs)
+
+    def spy_k0_eigh(spec):
+        ran.append("k0_eigh")
+        return k0_eigh(spec)
+
+    monkeypatch.setattr(minimize.spla, "eigsh", spy_eigsh)
+    monkeypatch.setattr(minimize.spla, "lobpcg", spy_lobpcg)
+    monkeypatch.setattr(fock, "_k0_eigh", spy_k0_eigh)
+    rep = epsilon_sweep(spec, [0.5], 0.0, field_z([0.0]), n_max=n_max)
+    assert ran == ([solver] if solver == "lanczos"
+                   else [solver, "k0_eigh"])  # built at first application
+    monkeypatch.undo()
+    energy, _ = ground_energy_eps(assemble_h_eps(spec, basis, 0.5))
+    assert rep.rows[0].energy == pytest.approx(energy, abs=1e-10)

@@ -19,7 +19,7 @@ from qcfield import (SolverError, assemble_h_eps, assemble_hz, assemble_k0,
                      ground_eigenpair, ground_energy_eps, make_model,
                      nelson_form_factor)
 from qcfield import fock, minimize
-from qcfield.fock import uncoupled_preconditioner
+from qcfield.fock import UncoupledPreconditioner
 from qcfield.presets import (decoupled_reference, small_minimal_coupling,
                              small_polaron)
 
@@ -106,11 +106,13 @@ def polaron_h_eps():
 
 @pytest.fixture(scope="module")
 def polaron_h_eps_preconditioned():
-    """The same H_eps with the inverse of its uncoupled operator."""
+    """The same H_eps with the inverse of its uncoupled operator, applied
+    once so that K_0's eigendecomposition is not seen by the path spies."""
     spec = small_polaron()
     basis = build_fock_basis(spec.n_modes, 4)
-    return (assemble_h_eps(spec, basis, 0.5),
-            uncoupled_preconditioner(spec, basis, 0.5))
+    precond = UncoupledPreconditioner(spec, basis, 0.5)
+    precond(np.ones(spec.grid.total_points * basis.dim))
+    return assemble_h_eps(spec, basis, 0.5), precond
 
 
 def test_shift_invert_real_box_ground(box_2048, paths):
@@ -167,24 +169,29 @@ def test_preconditioner_inverts_uncoupled_operator(polaron_small):
     sigma = (np.linalg.eigvalsh(assemble_k0(polaron_small).matrix.toarray())[0]
              - fock.PRECONDITIONER_MARGIN)
     block = np.random.default_rng(7).standard_normal((uncoupled.shape[0], 2))
-    applied = uncoupled_preconditioner(polaron_small, basis, eps)(block)
+    applied = UncoupledPreconditioner(polaron_small, basis, eps)(block)
     back = uncoupled @ applied - sigma * applied
     assert np.allclose(back, block, atol=1e-12)
 
 
-@pytest.mark.parametrize("poor", ["start", "maxiter"])
+@pytest.mark.parametrize("poor", ["start", "maxiter", "breakdown"])
 def test_unconverged_lobpcg_raises_without_warning(
         polaron_h_eps_preconditioned, monkeypatch, poor):
     h, precond = polaron_h_eps_preconditioned
+    match = "LOBPCG broke down" if poor == "breakdown" else "residual"
     if poor == "start":  # a solver that hands back its start unchanged
         def lobpcg(a, x, *args, **kwargs):
             return np.real(np.vdot(x[:, 0], a @ x[:, 0]))[None], x
+        monkeypatch.setattr(minimize.spla, "lobpcg", lobpcg)
+    elif poor == "breakdown":  # as scipy's lobpcg on a degenerate start
+        def lobpcg(a, x, *args, **kwargs):
+            raise ValueError("Linearly dependent initial approximations")
         monkeypatch.setattr(minimize.spla, "lobpcg", lobpcg)
     else:  # scipy's LOBPCG stopped after two iterations, which warns
         monkeypatch.setattr(minimize, "LOBPCG_MAXITER", 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(SolverError, match="residual"):
+        with pytest.raises(SolverError, match=match):
             ground_energy_eps(h, preconditioner=precond)
 
 
