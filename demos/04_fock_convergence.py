@@ -6,8 +6,8 @@ minimum.  A frozen-site instance doubles as an exact anchor: its ground
 energy is -g^2/omega at every eps.
 """
 
-from qcfield import (alternating_minimize, assemble_h_eps, build_fock_basis,
-                     epsilon_sweep, ground_energy_eps, stability_lower_bound)
+from qcfield import (alternating_minimize, build_fock_basis, epsilon_sweep,
+                     ground_state_eps, stability_lower_bound)
 from qcfield.presets import decoupled_reference, frozen_mode_reference
 
 EPS_LIST = [0.5, 0.25, 0.125, 0.0625]
@@ -17,7 +17,7 @@ frozen = frozen_mode_reference(g=0.3, omega=2.0)
 basis = build_fock_basis(1, 12)
 print("frozen site, g = 0.3, omega = 2 (exact ground energy -0.045):")
 for eps in EPS_LIST:
-    energy, _ = ground_energy_eps(assemble_h_eps(frozen, basis, eps))
+    energy, _ = ground_state_eps(frozen, basis, eps)
     print(f"  eps = {eps:<7}: E_eps = {energy:+.12f}  "
           f"err = {abs(energy + 0.045):.1e}")
 

@@ -39,9 +39,9 @@ from .minimize import (EquivalenceReport, MinimizeResult, MultiStartResult,
 from .fock import (FockBasis, ProductState, SweepReport, SweepRow,
                    TrialEnergy, assemble_h_eps, build_fock_basis,
                    coherent_product_state, coherent_tail, dgamma,
-                   epsilon_sweep, ground_energy_eps, ladder_operators,
-                   required_n_max, shell_rule_n_max, stability_lower_bound,
-                   trial_energy)
+                   epsilon_sweep, ground_energy_eps, ground_state_eps,
+                   ladder_operators, required_n_max, shell_rule_n_max,
+                   stability_lower_bound, trial_energy)
 from .measures import (AtomicStateMeasure, BoundCheckReport,
                        atomic_bound_check, atomic_measure_energy,
                        concentration_tally, dirac_measure,

@@ -172,11 +172,14 @@ def ground_energy_eps(h: sp.spmatrix,
     """Lowest eigenvalue of the quantized Hamiltonian, with its eigenvector
     (minimize.lowest_eigenpair's solve, deterministic on every path).
 
-    Called with h alone it takes lowest_eigenpair's unpreconditioned paths.
-    Given a preconditioner (epsilon_sweep passes an UncoupledPreconditioner
-    when G <= F), an operator above the dense cutoff that is not banded is
-    solved by LOBPCG; start, when given, replaces the all-ones start vector
-    on every iterative path.  Every path ends in the same residual check.
+    Called with h alone it takes lowest_eigenpair's unpreconditioned paths:
+    h carries no model or basis to build a preconditioner from, so a caller
+    that has them solves through ground_state_eps instead.  Given a
+    preconditioner (ground_state_eps passes an UncoupledPreconditioner when
+    G <= F), an operator above the dense cutoff that is not banded is solved
+    by the in-house LOBPCG with block size 1; start, when given, replaces
+    the all-ones start vector on every iterative path.  Every path ends in
+    the same residual check, which alone decides convergence.
     """
     return lowest_eigenpair(h, residual_tol, preconditioner, start)
 
@@ -224,6 +227,24 @@ class UncoupledPreconditioner:
         g, f = denom.shape[:2]
         y = (vecs_h @ x.reshape(g, -1)).reshape(g, f, -1) / denom
         return (vecs @ y.reshape(g, -1)).reshape(x.shape)
+
+
+def ground_state_eps(spec: ModelSpec, basis: FockBasis, epsilon: float,
+                     start: np.ndarray | None = None,
+                     dimension_cap: int = DEFAULT_DIMENSION_CAP):
+    """Ground (energy, vector) of the quantized model at one eps: assembles
+    H_eps on the grid x basis space and solves it with ground_energy_eps
+    from start (all-ones by default).
+
+    When the grid has no more points than the basis has states (G <= F),
+    the solve is handed an UncoupledPreconditioner: K_0's dense eigh (G^3
+    flops, G^2 floats) then costs at most one application (2 G^2 F); with
+    fewer Fock states plain Lanczos on the small operator is faster.
+    """
+    h = assemble_h_eps(spec, basis, epsilon, dimension_cap=dimension_cap)
+    precond = (UncoupledPreconditioner(spec, basis, epsilon)
+               if spec.grid.total_points <= basis.dim else None)
+    return ground_energy_eps(h, preconditioner=precond, start=start)
 
 
 # ---------------------------------------------------------------------------
@@ -360,17 +381,18 @@ def epsilon_sweep(spec: ModelSpec, eps_list, e_qc_ref: float,
     error sequence must be non-increasing within a 1e-8 slack.
 
     The tensor dimension G * C(K + n_max, K) is checked against
-    dimension_cap before the basis is enumerated.  Each point starts from
-    the previous point's ground vector padded with zeros (the first point
-    from the all-ones vector).  When the grid has no more points than the
-    Fock basis has states (G <= F), the point also passes ground_energy_eps
-    an UncoupledPreconditioner, the exact inverse of its uncoupled operator
-    (K_0 (x) 1 + 1 (x) dGamma - sigma)^-1: K_0's dense eigendecomposition
-    then costs at most one application, and its G^2 floats are at most
-    the tensor dimension.  lowest_eigenpair picks the path: wide-band
-    operators with a preconditioner are solved by LOBPCG, the rest by
-    Lanczos from the same start (a banded operator never builds the
-    preconditioner).  The residual rule is the same on every path.
+    dimension_cap before the basis is enumerated.  Each point is solved by
+    ground_state_eps from the previous point's ground vector padded with
+    zeros (the first point from the all-ones vector).  When the grid has no
+    more points than the Fock basis has states (G <= F), that solve is
+    handed an UncoupledPreconditioner, the exact inverse of the uncoupled
+    operator (K_0 (x) 1 + 1 (x) dGamma - sigma)^-1: K_0's dense
+    eigendecomposition then costs at most one application, and its G^2
+    floats are at most the tensor dimension.  lowest_eigenpair picks the
+    path: wide-band operators with a preconditioner are solved by the
+    in-house block-size-1 LOBPCG, the rest by Lanczos from the same start (a
+    banded operator never builds the preconditioner).  The residual rule is
+    the same on every path.
     """
     eps = [float(e) for e in eps_list]
     if any(not 0.0 < e <= 1.0 for e in eps) \
@@ -388,21 +410,13 @@ def epsilon_sweep(spec: ModelSpec, eps_list, e_qc_ref: float,
         _check_capacity(grid_pts * comb(spec.n_modes + cutoff, cutoff),
                         dimension_cap)
         basis = build_fock_basis(spec.n_modes, cutoff)
-        h = assemble_h_eps(spec, basis, e, dimension_cap=dimension_cap)
         start = None
         if prev is not None:
             # cutoffs never fall along the sweep, and a smaller basis is
             # the leading block of a larger one: pad with zeros
             start = np.pad(prev, ((0, 0), (0, basis.dim - prev.shape[1])))
             start = start.ravel()
-        # K_0's dense eigh (G^3 flops, G^2 floats) costs at most one
-        # application (2 G^2 F) only when G <= F; with fewer Fock states
-        # plain Lanczos on the small operator is faster
-        precond = (UncoupledPreconditioner(spec, basis, e)
-                   if grid_pts <= basis.dim else None)
-        energy, vec = ground_energy_eps(h, preconditioner=precond,
-                                        start=start)
-        del h, start, precond  # the next assembly sets the peak memory
+        energy, vec = ground_state_eps(spec, basis, e, start, dimension_cap)
         prev = vec.reshape(grid_pts, basis.dim)
         resh = np.abs(prev) ** 2
         tail_ind = float(resh[:, basis.top_shell()].sum() / resh.sum())

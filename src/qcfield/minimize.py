@@ -10,7 +10,6 @@ and the two routes are compared by the equivalence check.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,18 +104,110 @@ def _lanczos(work: sp.csr_matrix, start: np.ndarray, banded: bool):
         raise SolverError(f"eigensolver did not converge: {exc}") from exc
 
 
+def _ritz(h: np.ndarray, g: np.ndarray):
+    """Coefficients of the lowest Ritz vector of the Hermitian pair (h, g),
+    or None when g is not positive definite or an entry is not finite.
+
+    The basis is scaled to unit diagonal of g first, so a short search
+    direction does not make the Cholesky factor of g ill conditioned; a
+    zero direction makes the scaled pair non-finite."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        scale = 1.0 / np.sqrt(g.diagonal().real)
+        h = h * np.outer(scale, scale)
+        g = g * np.outer(scale, scale)
+    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(g))):
+        return None
+    try:
+        _, vecs = scipy.linalg.eigh(h, g, subset_by_index=[0, 0],
+                                    check_finite=False)
+    except np.linalg.LinAlgError:
+        return None
+    return scale * vecs[:, 0]
+
+
+def _norm(vec: np.ndarray) -> float:
+    """2-norm; one BLAS dot, where numpy.linalg.norm splits a complex vector
+    into strided real and imaginary parts."""
+    return float(np.sqrt(np.vdot(vec, vec).real))
+
+
+def _axpy(a, x: np.ndarray, y: np.ndarray) -> None:
+    """y += a x in place, in one pass and without a temporary."""
+    out = scipy.linalg.blas.get_blas_funcs("axpy", (x, y))(x, y, a=a)
+    if out is not y:  # BLAS worked on a converted copy of y
+        y[...] = out
+
+
 def _lobpcg(work: sp.csr_matrix, start: np.ndarray, preconditioner,
             tol: float):
-    """LOBPCG's lowest pair from start, block size 1.  Its warnings are
-    dropped (the caller's residual check decides convergence); its
-    breakdowns (a degenerate start, a failed eigh) become SolverError."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        try:
-            return spla.lobpcg(work, start.reshape(-1, 1), M=preconditioner,
-                               tol=tol, maxiter=LOBPCG_MAXITER, largest=False)
-        except ValueError as exc:
-            raise SolverError(f"LOBPCG broke down: {exc}") from exc
+    """Lowest pair (value, unit vector) by LOBPCG with block size 1
+    (Knyazev 2001) from start, iterated until ||A x - lambda x|| <= tol
+    ||x|| or LOBPCG_MAXITER steps.
+
+    Each step applies the preconditioner to the residual, orthogonalizes the
+    result w against x and normalizes it, applies A once, and takes the
+    lowest Ritz vector of span{x, w, p}, p the previous step's update, from
+    the 3 x 3 pair of inner products.  x, A x, p and A p are updated in
+    place.  lambda and ||x|| are recomputed from x and A x at each step:
+    reusing the Ritz value would carry the round-off of an ill-conditioned
+    3 x 3 pair forward and stall the residual.  When the Gram matrix of
+    {x, w, p} is not positive definite, p is dropped and the step redone on
+    span{x, w} (Hetmaniuk and Lehoucq 2006).  A preconditioned residual with
+    no component outside span{x}, or a step on span{x, w} that is not finite
+    or not definite, is a breakdown and raises SolverError.
+    """
+    x = start.astype(np.result_type(work.dtype, start.dtype))
+    ax = work @ x
+    p = ap = None
+    for it in range(LOBPCG_MAXITER + 1):
+        xx = np.vdot(x, x).real
+        lam = float(np.vdot(x, ax).real / xx)
+        r = np.multiply(x, -lam)
+        r += ax
+        if _norm(r) <= tol * np.sqrt(xx) or it == LOBPCG_MAXITER:
+            break
+        w = preconditioner(r)
+        along_x = np.vdot(x, w) / xx
+        _axpy(-along_x, x, w)
+        norm_w = _norm(w)
+        if not norm_w > np.finfo(float).eps * abs(along_x) * np.sqrt(xx):
+            raise SolverError("LOBPCG broke down: the preconditioned "
+                              "residual lies in span{x}")
+        w /= norm_w
+        aw = work @ w
+        xw, xaw, waw = np.vdot(x, w), np.vdot(x, aw), np.vdot(w, aw).real
+        c = None
+        if p is not None:
+            xp, wp, pp = np.vdot(x, p), np.vdot(w, p), np.vdot(p, p).real
+            xap, wap, pap = np.vdot(x, ap), np.vdot(w, ap), np.vdot(p, ap).real
+            c = _ritz(np.array([[lam * xx, xaw, xap],
+                                [np.conj(xaw), waw, wap],
+                                [np.conj(xap), np.conj(wap), pap]]),
+                      np.array([[xx, xw, xp],
+                                [np.conj(xw), 1.0, wp],
+                                [np.conj(xp), np.conj(wp), pp]]))
+        if c is None:  # the first step, or p dropped
+            p = ap = None
+            c = _ritz(np.array([[lam * xx, xaw], [np.conj(xaw), waw]]),
+                      np.array([[xx, xw], [np.conj(xw), 1.0]]))
+            if c is None:
+                raise SolverError("LOBPCG broke down: the Rayleigh-Ritz "
+                                  "step on span{x, w} is not definite")
+        # p <- c_w w + c_p p, then x <- c_x x + p; the same for A x and A p
+        if p is None:
+            p, ap = w, aw
+            p *= c[1]
+            ap *= c[1]
+        else:
+            p *= c[2]
+            _axpy(c[1], w, p)
+            ap *= c[2]
+            _axpy(c[1], aw, ap)
+        x *= c[0]
+        x += p
+        ax *= c[0]
+        ax += ap
+    return lam, x / np.sqrt(xx)
 
 
 def lowest_eigenpair(matrix: sp.spmatrix,
@@ -129,42 +220,47 @@ def lowest_eigenpair(matrix: sp.spmatrix,
     Real arithmetic when every stored entry is real.  Dense eigh of the
     lowest pair up to DENSE_EIG_CUTOFF.  Above it, with half-bandwidth b,
     shift-invert Lanczos about a Gershgorin lower bound when b^2 <= n (the
-    LU factor of a banded matrix stays small).  Otherwise LOBPCG with block
-    size 1 (Knyazev 2001) when a preconditioner is given: a callable that
-    applies a positive definite approximation of (H - sigma)^-1, sigma below
-    the spectrum, to (n,) vectors and (n, m) blocks.  Without one, plain
-    Lanczos on the smallest algebraic end.  The preconditioner is applied
-    on the LOBPCG path alone, so a lazily built one costs nothing on the
-    others.  Every iterative path starts from start, by default the
-    normalized all-ones vector, so the result is deterministic.  The
-    residual ||H v - e v|| is checked on the matrix as given, against
-    residual_tol * max(1, ||H||_G / RESIDUAL_NORM_SCALE) with ||H||_G the
-    larger end of the Gershgorin interval: round-off in H v grows with ||H||.
-    LOBPCG aims at half that bound; its warnings are dropped, because the
-    residual check alone decides whether a solve converged.  Solver
-    breakdowns (ARPACK's non-convergence, a failed LU, LOBPCG's ValueError)
-    raise SolverError.
+    LU factor of a banded matrix stays small).  Otherwise the in-house
+    LOBPCG with block size 1 (_lobpcg) when a preconditioner is given: a
+    callable that applies a positive definite approximation of
+    (H - sigma)^-1, sigma below the spectrum, to an (n,) vector and returns
+    a new array.  Without one, plain Lanczos on the smallest algebraic end.
+    The preconditioner is applied on the LOBPCG path alone, so a lazily
+    built one costs nothing on the others.  Every iterative path starts
+    from start, by default the normalized all-ones vector, so the result is
+    deterministic.  The residual ||H v - e v|| is checked on the matrix as
+    given, against residual_tol * max(1, ||H||_G / RESIDUAL_NORM_SCALE) with
+    ||H||_G the larger end of the Gershgorin interval: round-off in H v
+    grows with ||H||.  The bound is computed once per solve.  LOBPCG stops
+    at half that bound or after LOBPCG_MAXITER steps, and emits no
+    warnings; the residual check alone decides whether a solve converged.
+    Solver breakdowns (ARPACK's non-convergence, a failed LU, a LOBPCG
+    breakdown) raise SolverError.
     """
     mat = matrix.tocsr()
     n = mat.shape[0]
     work = mat.real if not np.any(mat.data.imag) else mat
+    bound = None  # computed at most once: it copies abs(mat)
     if n <= DENSE_EIG_CUTOFF:
         vals, vecs = scipy.linalg.eigh(work.toarray(), subset_by_index=[0, 0])
+        e0, v0 = float(vals[0]), vecs[:, 0]
     else:
         x0 = np.ones(n) if start is None else start
         x0 = x0 / np.linalg.norm(x0)
         banded = _half_bandwidth(work) ** 2 <= n
         if preconditioner is not None and not banded:
-            vals, vecs = _lobpcg(work, x0, preconditioner,
-                                 0.5 * _residual_bound(mat, residual_tol))
+            bound = _residual_bound(mat, residual_tol)
+            e0, v0 = _lobpcg(work, x0, preconditioner, 0.5 * bound)
         else:
             vals, vecs = _lanczos(work, x0, banded)
-    e0, v0 = float(vals[0]), vecs[:, 0]
+            e0, v0 = float(vals[0]), vecs[:, 0]
     residual = float(np.linalg.norm(mat @ v0 - e0 * v0))
     # the scaled bound is never below residual_tol
-    if residual > residual_tol and residual > _residual_bound(mat,
-                                                              residual_tol):
-        raise SolverError("ground eigenpair residual too large", residual)
+    if residual > residual_tol:
+        if bound is None:
+            bound = _residual_bound(mat, residual_tol)
+        if residual > bound:
+            raise SolverError("ground eigenpair residual too large", residual)
     return e0, _fix_phase(v0)
 
 

@@ -6,8 +6,8 @@ from qcfield import (CapacityError, TruncationError, alternating_minimize,
                      assemble_h_eps, assemble_k0, build_fock_basis,
                      coherent_product_state, coherent_tail, dgamma,
                      epsilon_sweep, field_z, ground_eigenpair,
-                     ground_energy_eps, ladder_operators, required_n_max,
-                     random_wavefunction, shell_rule_n_max,
+                     ground_energy_eps, ground_state_eps, ladder_operators,
+                     required_n_max, random_wavefunction, shell_rule_n_max,
                      stability_lower_bound, trial_energy)
 from qcfield import fock, minimize
 from qcfield.fock import coherent_fock_coefficients
@@ -366,17 +366,10 @@ def test_banded_sweep_never_builds_preconditioner(decoupled, decoupled_min,
     assert rep.monotone_ok and rep.all_reliable
 
 
-@pytest.mark.parametrize("n_max, solver", [(3, "lanczos"),
-                                           (255, "lobpcg")])
-def test_sweep_preconditions_when_grid_within_fock_dimension(
-        n_max, solver, monkeypatch):
-    """G = 256, above DENSE_EIG_CUTOFF, on either side of G <= F: F = 4
-    takes plain Lanczos without building K_0's eigendecomposition, F = 256
-    takes LOBPCG with the preconditioner."""
-    spec = two_particle_nelson(points=16)
-    basis = build_fock_basis(spec.n_modes, n_max)
+def _spy_paths(monkeypatch):
+    """Names of the sparse solvers run, and of K_0's eigendecomposition."""
     ran = []
-    eigsh, lobpcg, k0_eigh = (minimize.spla.eigsh, minimize.spla.lobpcg,
+    eigsh, lobpcg, k0_eigh = (minimize.spla.eigsh, minimize._lobpcg,
                               fock._k0_eigh)
 
     def spy_eigsh(*args, **kwargs):
@@ -392,11 +385,46 @@ def test_sweep_preconditions_when_grid_within_fock_dimension(
         return k0_eigh(spec)
 
     monkeypatch.setattr(minimize.spla, "eigsh", spy_eigsh)
-    monkeypatch.setattr(minimize.spla, "lobpcg", spy_lobpcg)
+    monkeypatch.setattr(minimize, "_lobpcg", spy_lobpcg)
     monkeypatch.setattr(fock, "_k0_eigh", spy_k0_eigh)
+    return ran
+
+
+@pytest.mark.parametrize("n_max, solver", [(3, "lanczos"),
+                                           (255, "lobpcg")])
+def test_sweep_preconditions_when_grid_within_fock_dimension(
+        n_max, solver, monkeypatch):
+    """G = 256, above DENSE_EIG_CUTOFF, on either side of G <= F: F = 4
+    takes plain Lanczos without building K_0's eigendecomposition, F = 256
+    takes LOBPCG with the preconditioner."""
+    spec = two_particle_nelson(points=16)
+    basis = build_fock_basis(spec.n_modes, n_max)
+    ran = _spy_paths(monkeypatch)
     rep = epsilon_sweep(spec, [0.5], 0.0, field_z([0.0]), n_max=n_max)
     assert ran == ([solver] if solver == "lanczos"
                    else [solver, "k0_eigh"])  # built at first application
     monkeypatch.undo()
     energy, _ = ground_energy_eps(assemble_h_eps(spec, basis, 0.5))
     assert rep.rows[0].energy == pytest.approx(energy, abs=1e-10)
+
+
+@pytest.mark.parametrize("case, n_max, solver",
+                         [("polaron_small", 4, "lobpcg"),
+                          ("nelson_pair", 2, "lanczos")])
+def test_ground_state_eps_preconditions_when_grid_within_fock_dimension(
+        case, n_max, solver, request, monkeypatch):
+    """The one-point helper hands the solver a preconditioner exactly when
+    G <= F: the polaron (G = 16, F = 70) takes LOBPCG, the two-particle
+    nelson model (G = 144, F = 3) plain Lanczos; both energies equal the
+    unpreconditioned solve of the same H_eps."""
+    spec = request.getfixturevalue(case)
+    basis = build_fock_basis(spec.n_modes, n_max)
+    ran = _spy_paths(monkeypatch)
+    energy, vec = ground_state_eps(spec, basis, 0.5)
+    assert ran == ([solver] if solver == "lanczos"
+                   else [solver, "k0_eigh"])
+    monkeypatch.undo()
+    h = assemble_h_eps(spec, basis, 0.5)
+    expected, _ = ground_energy_eps(h)
+    assert energy == pytest.approx(expected, abs=1e-10)
+    assert np.linalg.norm(h @ vec - energy * vec) <= 1e-9

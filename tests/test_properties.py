@@ -1,18 +1,23 @@
-"""Property checks over random small models of all three families."""
+"""Property checks over random small models of all three families, and
+over random matrices for the preconditioned ground solver."""
+
+import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcfield import (alternating_minimize, assemble_h_eps, assemble_hz,
-                     assemble_k0, build_dispersion, build_field_modes,
-                     build_fock_basis, build_particle_grid, convexity_gap,
-                     field_eta, field_gradient, field_z, ground_eigenpair,
-                     ground_energy_eps, make_model, nelson_form_factor,
-                     pauli_fierz_form_factor, polaron_form_factor, qc_energy,
-                     qc_energy_eta, random_wavefunction,
-                     stability_lower_bound, trial_energy, z_to_eta)
+from qcfield import (SolverError, alternating_minimize, assemble_h_eps,
+                     assemble_hz, assemble_k0, build_dispersion,
+                     build_field_modes, build_fock_basis, build_particle_grid,
+                     convexity_gap, field_eta, field_gradient, field_z,
+                     ground_eigenpair, ground_energy_eps, make_model,
+                     nelson_form_factor, pauli_fierz_form_factor,
+                     polaron_form_factor, qc_energy, qc_energy_eta,
+                     random_wavefunction, stability_lower_bound, trial_energy,
+                     z_to_eta)
 
 MOMENTA = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
 
@@ -135,3 +140,56 @@ def test_quantized_ground_energy_between_trial_and_lower_bound(
     assert energy <= trial.energy + 1e-12 * max(1.0, abs(trial.energy))
     if family != "pauli_fierz":
         assert energy >= stability_lower_bound(spec)
+
+
+def _wide_band_problem(n, seed, dtype):
+    """A random sparse Hermitian matrix with a wide band (an entry in the
+    corner) and the diagonal preconditioner 1/(diag - sigma), sigma one
+    below the Gershgorin lower bound."""
+    rng = np.random.default_rng(seed)
+    rows = np.append(rng.integers(0, n, 3 * n), 0)
+    cols = np.append(rng.integers(0, n, 3 * n), n - 1)
+    vals = rng.standard_normal(rows.size)
+    if dtype is np.complex128:
+        vals = vals + 1j * rng.standard_normal(rows.size)
+    upper = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    mat = (upper + upper.conj().T
+           + sp.diags(rng.uniform(0.0, 20.0, n))).tocsr()
+    diag = mat.diagonal().real
+    radius = np.asarray(abs(mat).sum(axis=1)).ravel() - np.abs(diag)
+    shifted = diag - (np.min(diag - radius) - 1.0)
+
+    def precond(r):
+        return r / shifted
+
+    return mat, precond
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@settings(derandomize=True, deadline=None, max_examples=12, database=None)
+@given(n=st.integers(201, 320), seed=st.integers(0, 2 ** 32 - 1))
+def test_lobpcg_finds_lowest_eigenvalue_or_raises_solver_error(dtype, n,
+                                                               seed):
+    """Random wide-band matrices solved by LOBPCG with a diagonal
+    preconditioner: the result is the lowest eigenvalue, or a SolverError;
+    nothing else is raised, nothing warns."""
+    mat, precond = _wide_band_problem(n, seed, dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            energy, vec = ground_energy_eps(mat, preconditioner=precond)
+        except SolverError:
+            return
+    assert energy == pytest.approx(np.linalg.eigvalsh(mat.toarray())[0],
+                                   abs=1e-9)
+    assert np.linalg.norm(mat @ vec - energy * vec) <= 1e-9
+
+
+def test_lobpcg_converges_where_reused_ritz_values_stall():
+    """On this draw the 3 x 3 Rayleigh-Ritz pair grows ill conditioned; a
+    solver that carried the Ritz value forward instead of recomputing the
+    Rayleigh quotient stalled above the residual bound for 400 steps."""
+    mat, precond = _wide_band_problem(225, 264, np.float64)
+    energy, _ = ground_energy_eps(mat, preconditioner=precond)
+    assert energy == pytest.approx(np.linalg.eigvalsh(mat.toarray())[0],
+                                   abs=1e-9)

@@ -16,8 +16,8 @@ import scipy.sparse as sp
 from qcfield import (SolverError, assemble_h_eps, assemble_hz, assemble_k0,
                      box_ground_energy, build_dispersion, build_field_modes,
                      build_fock_basis, build_particle_grid, dgamma, field_z,
-                     ground_eigenpair, ground_energy_eps, make_model,
-                     nelson_form_factor)
+                     frozen_particle_grid, ground_eigenpair, ground_energy_eps,
+                     make_model, nelson_form_factor)
 from qcfield import fock, minimize
 from qcfield.fock import UncoupledPreconditioner
 from qcfield.presets import (decoupled_reference, small_minimal_coupling,
@@ -30,11 +30,14 @@ def paths(monkeypatch):
     ran = []
     spla, linalg = minimize.spla, minimize.scipy.linalg
     eigh, eigsh, splu = linalg.eigh, spla.eigsh, spla.splu
-    lobpcg = spla.lobpcg
+    lobpcg = minimize._lobpcg
 
-    def spy_eigh(a, *args, **kwargs):
-        ran.append(("dense", a.dtype))
-        return eigh(a, *args, **kwargs)
+    def spy_eigh(a, b=None, *args, **kwargs):
+        # the dense path solves a standard problem; LOBPCG's Rayleigh-Ritz
+        # steps are generalized 3 x 3 problems inside the lobpcg path
+        if b is None:
+            ran.append(("dense", a.dtype))
+        return eigh(a, b, *args, **kwargs)
 
     def spy_splu(a, *args, **kwargs):
         ran.append(("shift-invert", a.dtype))
@@ -50,7 +53,7 @@ def paths(monkeypatch):
         return lobpcg(a, *args, **kwargs)
 
     monkeypatch.setattr(linalg, "eigh", spy_eigh)
-    monkeypatch.setattr(spla, "lobpcg", spy_lobpcg)
+    monkeypatch.setattr(minimize, "_lobpcg", spy_lobpcg)
     monkeypatch.setattr(spla, "splu", spy_splu)
     monkeypatch.setattr(spla, "eigsh", spy_eigsh)
     return ran
@@ -115,6 +118,24 @@ def polaron_h_eps_preconditioned():
     return assemble_h_eps(spec, basis, 0.5), precond
 
 
+@pytest.fixture(scope="module")
+def modes_h_eps_preconditioned():
+    """Quantized nelson H_eps at a frozen site with six modes (K = 6,
+    n_max = 6, n = 924): real, wide band, preconditioned as polaron_h_eps
+    is."""
+    grid = frozen_particle_grid()
+    k = np.linspace(0.0, 1.0, 6)
+    modes = build_field_modes([[x] for x in k], weights=[1.0] * 6)
+    disp = build_dispersion(list(1.0 + k))
+    spec = make_model("nelson", grid, modes, disp,
+                      nelson_form_factor(grid, modes, [0.3] * 6,
+                                         dispersion=disp), "zero")
+    basis = build_fock_basis(spec.n_modes, 6)
+    precond = UncoupledPreconditioner(spec, basis, 0.5)
+    precond(np.ones(basis.dim))
+    return assemble_h_eps(spec, basis, 0.5), precond
+
+
 def test_shift_invert_real_box_ground(box_2048, paths):
     e0, psi = ground_eigenpair(box_2048)
     assert paths == [("shift-invert", np.float64)]
@@ -159,6 +180,31 @@ def test_lobpcg_preconditioned_h_eps(polaron_h_eps_preconditioned, paths):
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_lobpcg_real_arithmetic_h_eps(modes_h_eps_preconditioned, paths):
+    h, precond = modes_h_eps_preconditioned
+    assert not np.any(h.data.imag)
+    e0, vec = ground_energy_eps(h, preconditioner=precond)
+    assert paths == [("lobpcg", np.float64)]
+    vals = np.linalg.eigvalsh(h.toarray())
+    assert e0 == pytest.approx(vals[0], abs=1e-9)
+    assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_lobpcg_exact_start_returns_it(polaron_h_eps_preconditioned, paths):
+    """A start that is already the ground vector has a residual below the
+    tolerance: LOBPCG returns it without a step, so without a breakdown."""
+    h, precond = polaron_h_eps_preconditioned
+    vals, vecs = np.linalg.eigh(h.toarray())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        e0, vec = ground_energy_eps(h, preconditioner=precond,
+                                    start=vecs[:, 0])
+    assert paths == [("lobpcg", np.complex128)]
+    assert np.all(np.isfinite(vec))
+    assert e0 == pytest.approx(vals[0], abs=1e-9)
+    assert abs(np.vdot(vecs[:, 0], vec)) == pytest.approx(1.0, abs=1e-9)
+
+
 def test_preconditioner_inverts_uncoupled_operator(polaron_small):
     basis = build_fock_basis(polaron_small.n_modes, 3)
     eps = 0.5
@@ -181,13 +227,12 @@ def test_unconverged_lobpcg_raises_without_warning(
     match = "LOBPCG broke down" if poor == "breakdown" else "residual"
     if poor == "start":  # a solver that hands back its start unchanged
         def lobpcg(a, x, *args, **kwargs):
-            return np.real(np.vdot(x[:, 0], a @ x[:, 0]))[None], x
-        monkeypatch.setattr(minimize.spla, "lobpcg", lobpcg)
-    elif poor == "breakdown":  # as scipy's lobpcg on a degenerate start
-        def lobpcg(a, x, *args, **kwargs):
-            raise ValueError("Linearly dependent initial approximations")
-        monkeypatch.setattr(minimize.spla, "lobpcg", lobpcg)
-    else:  # scipy's LOBPCG stopped after two iterations, which warns
+            return float(np.vdot(x, a @ x).real), x
+        monkeypatch.setattr(minimize, "_lobpcg", lobpcg)
+    elif poor == "breakdown":  # no search direction outside span{x}
+        def precond(r):
+            return np.zeros_like(r)
+    else:  # LOBPCG stopped after two iterations
         monkeypatch.setattr(minimize, "LOBPCG_MAXITER", 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -212,7 +257,8 @@ def test_dense_path_real_arithmetic(dense_k0, paths):
 
 
 CASES = ["dense_k0", "box_2048", "minimal_1200", "polaron_h_eps",
-         "polaron_h_eps_preconditioned", "nelson_32768"]
+         "polaron_h_eps_preconditioned", "modes_h_eps_preconditioned",
+         "nelson_32768"]
 
 
 def _solve(case, request, **kwargs):
@@ -220,7 +266,7 @@ def _solve(case, request, **kwargs):
     operand = request.getfixturevalue(case)
     if case == "polaron_h_eps":
         return ground_energy_eps(operand, **kwargs)
-    if case == "polaron_h_eps_preconditioned":
+    if case.endswith("_preconditioned"):
         h, precond = operand
         return ground_energy_eps(h, preconditioner=precond, **kwargs)
     e0, psi = ground_eigenpair(operand, **kwargs)
