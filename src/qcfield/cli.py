@@ -20,10 +20,19 @@ command and the error.  BLAS threading follows the standard variables
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from . import fock as fk
+from . import minimize as mz
+from . import pekar as pk
 from .errors import ConsistencyError, SolverError, TruncationError
+from .measures import atomic_bound_check
+from .model import _complex_out, load_model, validate_model
+from .qc_energy import complex_normal, field_eta, random_wavefunction
 
 COMMANDS = ("qc-min", "pekar", "equivalence", "fock-sweep", "convexity",
             "measures-check")
@@ -50,8 +59,8 @@ class ConfigError(ValueError):
 _FLOAT_KEYS = {"tol_energy", "tol_residual", "tol_gap", "tail0"}
 _INT_KEYS = {"seed", "max_iter", "n_starts", "n_max", "n_samples",
              "min_shells"}
-_INT_MINIMA = {"max_iter": 1, "n_starts": 1, "n_samples": 1, "n_max": 0,
-               "min_shells": 0}
+_INT_MINIMA = {"seed": 0, "max_iter": 1, "n_starts": 1, "n_samples": 1,
+               "n_max": 0, "min_shells": 0}
 # every key of docs/run_config_schema.txt
 _KNOWN_KEYS = _FLOAT_KEYS | _INT_KEYS | {"command", "model", "out_dir",
                                          "eps_list", "export_kernel"}
@@ -109,16 +118,16 @@ def parse_run_config(path: Path) -> dict:
         raise ConfigError(f"model file {model_path} does not exist")
     cfg["model"] = model_path
     for key in ("tol_energy", "tol_residual", "tol_gap", "tail0"):
-        if cfg[key] <= 0:
-            raise ConfigError(f"{key} must be positive")
+        if not 0 < cfg[key] < math.inf:
+            raise ConfigError(f"{key} must be finite and positive")
     for key, low in _INT_MINIMA.items():
         if cfg.get(key, low) < low:
             raise ConfigError(f"{key} must be >= {low}")
-    eps = cfg.get("eps_list", [0.5, 0.25, 0.125, 0.0625])
-    if any(not 0.0 < e <= 1.0 for e in eps) \
-            or any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ConfigError("eps_list must be strictly decreasing within (0, 1]")
-    cfg["eps_list"] = eps
+    try:
+        cfg["eps_list"] = fk.check_eps_list(
+            cfg.get("eps_list", [0.5, 0.25, 0.125, 0.0625]))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return cfg
 
 
@@ -172,17 +181,11 @@ def write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _complex_pairs(values) -> list:
-    return [[float(v.real), float(v.imag)] for v in values]
-
-
 # ---------------------------------------------------------------------------
 # command implementations
 # ---------------------------------------------------------------------------
 
 def _run_qc_min(spec, cfg, out_dir):
-    from . import minimize as mz
-
     kwargs = dict(tol_energy=cfg["tol_energy"], tol_residual=cfg["tol_residual"],
                   max_iter=cfg["max_iter"])
     if cfg["n_starts"] > 1:
@@ -203,22 +206,17 @@ def _run_qc_min(spec, cfg, out_dir):
         "converged": res.converged,
         "psi_residual": res.el_residuals.psi_residual,
         "field_residual": res.el_residuals.field_residual,
-        "z": _complex_pairs(res.z_star.values),
+        "z": _complex_out(res.z_star.values),
         **extra,
     }
     write_csv(out_dir / "trace.csv",
               ["iteration", "energy", "psi_residual", "field_residual"],
               [list(row) for row in res.iteration_rows])
     write_results(out_dir, payload)
-    if not res.converged:
-        return EXIT_SOLVER, res
-    return EXIT_OK, res
+    return EXIT_OK if res.converged else EXIT_SOLVER
 
 
 def _run_pekar(spec, cfg, out_dir):
-    from . import minimize as mz
-    from . import pekar as pk
-
     res = mz.pekar_minimize(spec, max_iter=cfg["max_iter"])
     energy = pk.pekar_energy(spec, res.psi_star)
     payload = {
@@ -229,7 +227,7 @@ def _run_pekar(spec, cfg, out_dir):
         "iterations": res.iterations,
         "converged": res.converged,
         "grad_norm": res.grad_norm,
-        "eta": _complex_pairs(energy.eta.values),
+        "eta": _complex_out(energy.eta.values),
     }
     if cfg["export_kernel"]:
         kern = pk.pekar_kernel(spec)
@@ -238,12 +236,10 @@ def _run_pekar(spec, cfg, out_dir):
                   [f"y{j}" for j in range(np_rows.shape[1])],
                   [list(map(float, row)) for row in np_rows])
     write_results(out_dir, payload)
-    return (EXIT_OK if res.converged else EXIT_SOLVER), res
+    return EXIT_OK if res.converged else EXIT_SOLVER
 
 
 def _run_equivalence(spec, cfg, out_dir):
-    from . import minimize as mz
-
     rep = mz.equivalence_check(spec, tol=cfg["tol_gap"],
                                n_starts=max(cfg["n_starts"], 2),
                                seed=cfg["seed"])
@@ -262,20 +258,26 @@ def _run_equivalence(spec, cfg, out_dir):
     rows = [[i, float(e)] for i, e in enumerate(rep.qc_result.energy_trace)]
     write_csv(out_dir / "trace.csv", ["iteration", "energy"], rows)
     write_results(out_dir, payload)
-    return (EXIT_OK if rep.passes else EXIT_ASSERTION), rep
+    return EXIT_OK if rep.passes else EXIT_ASSERTION
 
 
-def _run_fock_sweep(spec, cfg, out_dir):
-    from . import fock as fk
-    from . import minimize as mz
-
+def _reference_minimum(spec, cfg, out_dir):
+    """The converged coupled minimum that fock-sweep and measures-check
+    measure against; None once the divergence is written to results.json."""
     res = mz.alternating_minimize(spec, tol_energy=cfg["tol_energy"],
                                   tol_residual=cfg["tol_residual"],
                                   max_iter=cfg["max_iter"])
     if not res.converged:
-        write_results(out_dir, {"command": "fock-sweep",
+        write_results(out_dir, {"command": cfg["command"],
                                 "error": "reference minimization diverged"})
-        return EXIT_SOLVER, None
+        return None
+    return res
+
+
+def _run_fock_sweep(spec, cfg, out_dir):
+    res = _reference_minimum(spec, cfg, out_dir)
+    if res is None:
+        return EXIT_SOLVER
     rep = fk.epsilon_sweep(spec, cfg["eps_list"], res.energy, res.z_star,
                            n_max=cfg.get("n_max"), tail0=cfg["tail0"],
                            min_shells=cfg["min_shells"])
@@ -298,23 +300,17 @@ def _run_fock_sweep(spec, cfg, out_dir):
     (out_dir / "sweep.plot").write_text("\n".join(plot_lines) + "\n")
     write_results(out_dir, payload)
     ok = rep.monotone_ok and rep.all_reliable
-    return (EXIT_OK if ok else EXIT_ASSERTION), rep
+    return EXIT_OK if ok else EXIT_ASSERTION
 
 
 def _run_convexity(spec, cfg, out_dir):
-    import numpy as np
-    from . import pekar as pk
-    from .qc_energy import field_eta, random_wavefunction
-
     rng = np.random.default_rng(cfg["seed"])
     worst_rel = 0.0
     min_gap = float("inf")
     for _ in range(cfg["n_samples"]):
         psi = random_wavefunction(spec.grid, rng)
-        e1 = field_eta(rng.standard_normal(spec.n_modes)
-                       + 1j * rng.standard_normal(spec.n_modes))
-        e2 = field_eta(rng.standard_normal(spec.n_modes)
-                       + 1j * rng.standard_normal(spec.n_modes))
+        e1 = field_eta(complex_normal(rng, spec.n_modes))
+        e2 = field_eta(complex_normal(rng, spec.n_modes))
         beta = float(rng.uniform(0.05, 0.95))
         g = pk.convexity_gap(spec, psi, e1, e2, beta)
         min_gap = min(min_gap, g.gap)
@@ -329,23 +325,16 @@ def _run_convexity(spec, cfg, out_dir):
         "worst_relative_error": worst_rel,
         "passes": passes,
     })
-    return (EXIT_OK if passes else EXIT_ASSERTION), None
+    return EXIT_OK if passes else EXIT_ASSERTION
 
 
 def _run_measures_check(spec, cfg, out_dir):
-    from . import measures as ms
-    from . import minimize as mz
-
-    res = mz.alternating_minimize(spec, tol_energy=cfg["tol_energy"],
-                                  tol_residual=cfg["tol_residual"],
-                                  max_iter=cfg["max_iter"])
-    if not res.converged:
-        write_results(out_dir, {"command": "measures-check",
-                                "error": "reference minimization diverged"})
-        return EXIT_SOLVER, None
-    pk = mz.pekar_minimize(spec)
-    rep = ms.atomic_bound_check(spec, cfg["n_samples"], cfg["seed"],
-                                reference=res, e_pekar=pk.energy)
+    res = _reference_minimum(spec, cfg, out_dir)
+    if res is None:
+        return EXIT_SOLVER
+    rep = atomic_bound_check(spec, cfg["n_samples"], cfg["seed"],
+                             reference=res,
+                             e_pekar=mz.pekar_minimize(spec).energy)
     payload = {
         "command": "measures-check",
         "seed": cfg["seed"],
@@ -360,7 +349,7 @@ def _run_measures_check(spec, cfg, out_dir):
         "witness": rep.witness,
     }
     write_results(out_dir, payload)
-    return (EXIT_OK if rep.passes else EXIT_ASSERTION), rep
+    return EXIT_OK if rep.passes else EXIT_ASSERTION
 
 
 _RUNNERS = {
@@ -375,8 +364,6 @@ _RUNNERS = {
 
 def run(cfg: dict) -> int:
     """Execute a parsed run config; returns the process exit code."""
-    from .model import load_model, validate_model
-
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
@@ -393,8 +380,7 @@ def run(cfg: dict) -> int:
         write_results(out_dir, {"command": cfg["command"], "error": error})
         return EXIT_VALIDATION
     try:
-        code, _ = _RUNNERS[cfg["command"]](spec, cfg, out_dir)
-        return code
+        return _RUNNERS[cfg["command"]](spec, cfg, out_dir)
     except tuple(_EXIT_CODES) as exc:
         error = f"{type(exc).__name__}: {exc}"
         print(f"error: {error}", file=sys.stderr)
@@ -420,6 +406,9 @@ def main(argv=None) -> int:
     if cfg["command"] != args.command:
         print(f"config command {cfg['command']!r} does not match "
               f"{args.command!r}", file=sys.stderr)
+        return EXIT_VALIDATION
+    if args.seed is not None and args.seed < 0:
+        print("config error: --seed must be >= 0", file=sys.stderr)
         return EXIT_VALIDATION
     if args.out is not None:
         cfg["out_dir"] = str(args.out)

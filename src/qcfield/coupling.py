@@ -14,8 +14,9 @@ energy is quadratic in eta = omega^(1/2) z (inner products weighted by w):
 
 Each coupling supplies b_vector and t_matrix (T as a real 2K x 2K matrix on
 (Re eta, Im eta)), from which the field minimizer, the Euler-Lagrange field
-vector and the convexity gap are built once, plus the reduced energy and its
-gradient.  ModelSpec.coupling picks one from BY_FAMILY once per model.
+vector and the convexity gap are built once, plus one reduced method that
+returns the reduced energy and its gradient together.  ModelSpec.coupling
+picks one from BY_FAMILY once per model.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ import numpy as np
 
 from .pekar import eta_pekar, kernel_convolve
 from .qc_energy import (assemble_hz, assemble_k0, coupling_expectation,
-                        eta_to_z, momentum_matrix, qc_energy_eta,
-                        _particle_marginal)
+                        eta_to_z, momentum_matrix, _particle_marginal)
 
 
 class LinearCoupling:
@@ -44,19 +44,19 @@ class LinearCoupling:
         """T = 0."""
         return np.zeros((2 * spec.n_modes, 2 * spec.n_modes))
 
-    def reduced_value(self, spec, psi):
-        """Reduced energy through the kernel: <K_0> + <rho|V_kernel * rho>."""
+    def reduced(self, spec, psi):
+        """Reduced energy through the kernel, <K_0> + <rho|V_kernel * rho>,
+        and its unconstrained gradient (K_0 + 2 V_kernel * |psi|^2) psi."""
         density = np.abs(psi.values) ** 2 * spec.grid.measure
         conv = kernel_convolve(spec, density)
-        return assemble_k0(spec).expectation(psi) + float(density @ conv)
+        k0 = assemble_k0(spec)
+        return (k0.expectation(psi) + float(density @ conv),
+                k0.apply(psi.values) + 2.0 * conv * psi.values)
 
-    def reduced_gradient(self, spec, psi):
-        """Unconstrained gradient (K_0 + 2 V_kernel * |psi|^2) psi."""
-        density = np.abs(psi.values) ** 2 * spec.grid.measure
-        conv = kernel_convolve(spec, density)
-        return assemble_k0(spec).apply(psi.values) + 2.0 * conv * psi.values
-
-    kernel_value = reduced_value  # pekar_energy checks it against H_z's route
+    def kernel_value(self, spec, psi):
+        """The reduced energy by the kernel route; pekar_energy checks it
+        against H_z's route."""
+        return self.reduced(spec, psi)[0]
 
 
 class MinimalCoupling:
@@ -101,15 +101,13 @@ class MinimalCoupling:
                 * ((x.T * rho) @ x)
         return mat * np.tile(spec.modes.weights, 2)[None, :]
 
-    def reduced_value(self, spec, psi):
-        """Coupled energy at the solved field."""
-        return qc_energy_eta(spec, psi, eta_pekar(spec, psi))
-
-    def reduced_gradient(self, spec, psi):
-        """H_{z(psi)} psi: at the solved field the field equation holds, so by
-        the envelope identity the field's psi-dependence drops out."""
+    def reduced(self, spec, psi):
+        """Coupled energy at the solved field and its gradient H_{z(psi)} psi:
+        at the solved field the field equation holds, so by the envelope
+        identity the field's psi-dependence drops out."""
         op = assemble_hz(spec, eta_to_z(eta_pekar(spec, psi), spec.dispersion))
-        return op.apply(psi.values) + op.constant_offset * psi.values
+        return (op.expectation(psi),
+                op.apply(psi.values) + op.constant_offset * psi.values)
 
     def kernel_value(self, spec, psi):
         """None: eliminating a minimally coupled field leaves no kernel."""

@@ -305,11 +305,11 @@ def coherent_product_state(spec: ModelSpec, basis: FockBasis, epsilon: float,
     psi.require_normalized()
     coeffs, tail = coherent_fock_coefficients(spec, basis, epsilon, z)
     if tail > tail_tol:
-        nu = mode_norm(spec.modes, z.values) ** 2 / epsilon
+        need = required_n_max(mode_norm(spec.modes, z.values) ** 2 / epsilon,
+                              tail_tol)
         raise TruncationError(
             f"coherent tail mass {tail:.3e} above {tail_tol:g}; "
-            f"need n_max >= {required_n_max(nu, tail_tol)}",
-            required_n_max=required_n_max(nu, tail_tol))
+            f"need n_max >= {need}", required_n_max=need)
     coeffs = coeffs / np.linalg.norm(coeffs)
     values = np.kron(psi.values, coeffs)
     return ProductState(values=values, psi=psi, fock_coeffs=coeffs,
@@ -367,6 +367,17 @@ def shell_rule_n_max(spec: ModelSpec, z_ref: FieldAmplitudes, epsilon: float,
     return required_n_max(nu, tail_budget, min_shells=min_shells)
 
 
+def check_eps_list(eps_list) -> list[float]:
+    """eps_list as floats; ValueError unless it is non-empty and strictly
+    decreasing within (0, 1]."""
+    eps = [float(e) for e in eps_list]
+    if not eps or any(not 0.0 < e <= 1.0 for e in eps) \
+            or any(b >= a for a, b in zip(eps, eps[1:])):
+        raise ValueError("eps_list must be non-empty and strictly "
+                         "decreasing within (0, 1]")
+    return eps
+
+
 def epsilon_sweep(spec: ModelSpec, eps_list, e_qc_ref: float,
                   z_ref: FieldAmplitudes, n_max: int | None = None,
                   tail0: float = COHERENT_TAIL_TOL, min_shells: int = 4,
@@ -392,12 +403,9 @@ def epsilon_sweep(spec: ModelSpec, eps_list, e_qc_ref: float,
     path: wide-band operators with a preconditioner are solved by the
     in-house block-size-1 LOBPCG, the rest by Lanczos from the same start (a
     banded operator never builds the preconditioner).  The residual rule is
-    the same on every path.
+    the same on every path.  eps_list must pass check_eps_list.
     """
-    eps = [float(e) for e in eps_list]
-    if any(not 0.0 < e <= 1.0 for e in eps) \
-            or any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ValueError("eps_list must be strictly decreasing within (0, 1]")
+    eps = check_eps_list(eps_list)
     z_ref.require_gauge("z")
     grid_pts = spec.grid.total_points
     rows, prev = [], None

@@ -13,12 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelSpec
+from .model import ModelSpec, _complex_out
 from .minimize import MinimizeResult, best_particle_energy
-from .qc_energy import (FieldAmplitudes, WaveFunction, field_z, qc_energy,
-                        random_wavefunction)
+from .qc_energy import (FieldAmplitudes, WaveFunction, complex_normal,
+                        field_z, qc_energy, random_wavefunction)
 
 WEIGHT_SUM_TOL = 1e-12
+MAX_ATOMS = 5  # default atom-count cap of random_atomic_measure
+NEAR_MIN_SPREAD = 6  # perturbed atoms of near_minimizing_measure
+BOUND_SLACK = 1e-8  # atomic_bound_check's allowance below the minimum
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,46 +81,46 @@ def per_atom_relaxed_energy(spec: ModelSpec, weights, points) -> float:
 # sampling
 # ---------------------------------------------------------------------------
 
-def random_field_point(spec: ModelSpec, rng: np.random.Generator,
-                       scale: float = 1.0) -> FieldAmplitudes:
-    k = spec.n_modes
-    return field_z(scale * (rng.standard_normal(k)
-                            + 1j * rng.standard_normal(k)))
+def random_field_point(spec: ModelSpec,
+                       rng: np.random.Generator) -> FieldAmplitudes:
+    """Field point with standard complex Gaussian amplitudes."""
+    return field_z(complex_normal(rng, spec.n_modes))
+
 
 def random_atomic_measure(spec: ModelSpec, rng: np.random.Generator,
-                          max_atoms: int = 5,
-                          scale: float = 1.0) -> AtomicStateMeasure:
+                          max_atoms: int = MAX_ATOMS) -> AtomicStateMeasure:
+    """Up to max_atoms atoms at random_field_point fields, random states."""
     n = int(rng.integers(1, max_atoms + 1))
     raw = rng.random(n)
     weights = raw / raw.sum()
     atoms = tuple(
         (float(weights[i]),
-         random_field_point(spec, rng, scale),
+         random_field_point(spec, rng),
          random_wavefunction(spec.grid, rng))
         for i in range(n))
     return AtomicStateMeasure(atoms=atoms)
 
 
 def near_minimizing_measure(spec: ModelSpec, reference: MinimizeResult,
-                            delta: float, rng: np.random.Generator,
-                            n_spread: int = 6) -> AtomicStateMeasure:
+                            delta: float,
+                            rng: np.random.Generator) -> AtomicStateMeasure:
     """A measure with energy at most delta above the found minimum.
 
-    Mixes the minimizer atom with a few perturbed atoms whose total excess
-    energy is budgeted to 0.9 delta, exercising the concentration tally.
+    Mixes the minimizer atom with NEAR_MIN_SPREAD perturbed atoms whose
+    total excess energy is budgeted to 0.9 delta, exercising the
+    concentration tally.
     """
     base_e = reference.energy
     spread = []
-    for _ in range(n_spread):
+    for _ in range(NEAR_MIN_SPREAD):
         z = field_z(reference.z_star.values
-                    + 0.3 * (rng.standard_normal(spec.n_modes)
-                             + 1j * rng.standard_normal(spec.n_modes)))
+                    + 0.3 * complex_normal(rng, spec.n_modes))
         psi = random_wavefunction(spec.grid, rng)
         spread.append((z, psi, qc_energy(spec, psi, z)))
-    excess = sum(e - base_e for _, _, e in spread) / n_spread
+    excess = sum(e - base_e for _, _, e in spread) / NEAR_MIN_SPREAD
     eat = 0.9 * delta / max(excess, 1e-300)
-    w_spread = min(eat, 1.0) / n_spread
-    w_min = 1.0 - w_spread * n_spread
+    w_spread = min(eat, 1.0) / NEAR_MIN_SPREAD
+    w_min = 1.0 - w_spread * NEAR_MIN_SPREAD
     atoms = [(w_min, reference.z_star, reference.psi_star)]
     atoms += [(w_spread, z, psi) for z, psi, _ in spread]
     return AtomicStateMeasure(atoms=tuple(atoms))
@@ -162,23 +165,23 @@ class BoundCheckReport:
 
 
 def atomic_bound_check(spec: ModelSpec, n_samples: int, seed: int,
-                       reference: MinimizeResult, e_pekar: float,
-                       slack: float = 1e-8,
-                       max_atoms: int = 5) -> BoundCheckReport:
-    """Sample random atomic measures; none may undercut the found minimum.
+                       reference: MinimizeResult,
+                       e_pekar: float) -> BoundCheckReport:
+    """Sample random atomic measures of up to MAX_ATOMS atoms; none may
+    undercut the found minimum by more than BOUND_SLACK.
 
     Also checks that the Dirac measure at the minimizer attains it and that
     sampled fixed-field relaxed energies stay above it.
     """
     rng = np.random.default_rng(seed)
     e_qc = reference.energy
-    floor = e_qc - slack
+    floor = e_qc - BOUND_SLACK
     witness = None
     min_measure = np.inf
     min_field = np.inf
     ok = True
     for _ in range(n_samples):
-        measure = random_atomic_measure(spec, rng, max_atoms=max_atoms)
+        measure = random_atomic_measure(spec, rng)
         e_svm = atomic_measure_energy(spec, measure)
         min_measure = min(min_measure, e_svm)
         shared = measure.atoms[0][2]
@@ -200,9 +203,10 @@ def atomic_bound_check(spec: ModelSpec, n_samples: int, seed: int,
     dirac_svm = atomic_measure_energy(spec, dirac)
     dirac_pm = shared_state_measure_energy(
         spec, reference.psi_star, [1.0], [reference.z_star])
-    if abs(dirac_svm - e_qc) > slack or abs(dirac_pm - e_qc) > slack:
+    if abs(dirac_svm - e_qc) > BOUND_SLACK \
+            or abs(dirac_pm - e_qc) > BOUND_SLACK:
         ok = False
-    if abs(e_pekar - e_qc) > max(slack, 1e-6):
+    if abs(e_pekar - e_qc) > max(BOUND_SLACK, 1e-6):
         ok = False
     return BoundCheckReport(passes=ok, e_qc=e_qc, dirac_svm=dirac_svm,
                             dirac_pm=dirac_pm, e_pekar=e_pekar,
@@ -215,10 +219,6 @@ def serialize_measure(measure: AtomicStateMeasure) -> dict:
     """Witness serialization in the model-document style ([re, im] pairs)."""
     atoms = []
     for w, z, psi in measure.atoms:
-        atoms.append({
-            "weight": w,
-            "z": np.stack([z.values.real, z.values.imag], axis=-1).tolist(),
-            "psi": np.stack([psi.values.real, psi.values.imag],
-                            axis=-1).tolist(),
-        })
+        atoms.append({"weight": w, "z": _complex_out(z.values),
+                      "psi": _complex_out(psi.values)})
     return {"format": "qcfield-measure", "version": 1, "atoms": atoms}

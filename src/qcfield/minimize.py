@@ -21,9 +21,9 @@ from .errors import SolverError
 from .model import ModelSpec, grid_inner, grid_norm, mode_norm
 from .pekar import eta_pekar, pekar_energy
 from .qc_energy import (ELResiduals, FieldAmplitudes, ParticleOperator,
-                        WaveFunction, assemble_hz, assemble_k0, eta_to_z,
-                        field_eta, qc_energy_eta, random_wavefunction,
-                        _el_residuals)
+                        WaveFunction, assemble_hz, assemble_k0,
+                        complex_normal, eta_to_z, field_eta, qc_energy_eta,
+                        random_wavefunction, _el_residuals)
 
 DENSE_EIG_CUTOFF = 200
 LOBPCG_MAXITER = 400
@@ -31,6 +31,8 @@ EIG_RESIDUAL_TOL = 1e-9
 RESIDUAL_NORM_SCALE = 1e5  # ||H|| above which the residual bound grows
 DEFAULT_TOL_ENERGY = 1e-10
 DEFAULT_TOL_RESIDUAL = 1e-7
+PEKAR_TOL_GRAD = 1e-8  # projected-gradient norm that ends pekar_minimize
+PEKAR_RESTART_EVERY = 40  # pekar_minimize's eigen-restart period
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +306,7 @@ def random_field_start(spec: ModelSpec, rng: np.random.Generator) -> FieldAmplit
     sup = float(np.sqrt(spec.form_factor.weighted_sup(
         spec.modes.weights / spec.dispersion.values)))
     scale = sup if sup > 0 else 1.0
-    k = spec.n_modes
-    draw = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    return field_eta(scale * draw)
+    return field_eta(scale * complex_normal(rng, spec.n_modes))
 
 
 def alternating_minimize(spec: ModelSpec,
@@ -440,16 +440,16 @@ class PekarMinimizeResult:
 
 
 def pekar_minimize(spec: ModelSpec,
-                   init_psi: WaveFunction | None = None,
-                   tol_grad: float = 1e-8,
-                   max_iter: int = 2000,
-                   restart_every: int = 40) -> PekarMinimizeResult:
-    """Minimize the reduced energy over normalized psi.
+                   max_iter: int = 2000) -> PekarMinimizeResult:
+    """Minimize the reduced energy over normalized psi, from K_0's ground
+    state until the projected gradient norm is at most PEKAR_TOL_GRAD.
 
     Projected gradient descent with Barzilai-Borwein steps and sphere
-    retraction; every restart_every iterations the iterate is replaced by the
-    ground eigenvector of the current effective Hamiltonian whenever that
-    lowers the energy (an exact partial step, so the safeguard never harms).
+    retraction; every PEKAR_RESTART_EVERY iterations the iterate is replaced
+    by the ground eigenvector of the current effective Hamiltonian whenever
+    that lowers the energy (an exact partial step, so the safeguard never
+    harms).  The coupling's reduced method gives the energy and gradient of
+    each point visited in one evaluation.
 
     The iteration count depends on round-off: on a one-mode nelson model on
     a 1-d G = 2048 grid, starts that differ from the K_0 ground state by
@@ -457,18 +457,14 @@ def pekar_minimize(spec: ModelSpec,
     within 3e-13); other draws have taken 81 to 201.
     """
     grid = spec.grid
-    coupling = spec.coupling
-    if init_psi is None:
-        _, psi = ground_eigenpair(assemble_k0(spec))
-    else:
-        psi = init_psi
-    energy = coupling.reduced_value(spec, psi)
+    reduced = spec.coupling.reduced
+    _, psi = ground_eigenpair(assemble_k0(spec))
+    energy, grad = reduced(spec, psi)
     trace = [energy]
-    grad = coupling.reduced_gradient(spec, psi)
     proj = grad - grid_inner(grid, psi.values, grad).real * psi.values
     step = 1.0 / max(1.0, grid_norm(grid, proj))
     grad_norm = grid_norm(grid, proj)
-    converged = grad_norm <= tol_grad
+    converged = grad_norm <= PEKAR_TOL_GRAD
     iterations = 0
 
     for it in range(1, max_iter + 1):
@@ -476,14 +472,13 @@ def pekar_minimize(spec: ModelSpec,
         if converged:
             break
         psi_new = WaveFunction.normalized(psi.values - step * proj, grid)
-        energy_new = coupling.reduced_value(spec, psi_new)
+        energy_new, grad_new = reduced(spec, psi_new)
         for _ in range(30):  # backtrack on uphill moves
             if energy_new <= energy + 1e-13:
                 break
             step *= 0.5
             psi_new = WaveFunction.normalized(psi.values - step * proj, grid)
-            energy_new = coupling.reduced_value(spec, psi_new)
-        grad_new = coupling.reduced_gradient(spec, psi_new)
+            energy_new, grad_new = reduced(spec, psi_new)
         s = psi_new.values - psi.values
         y = grad_new - grad
         sy = grid_inner(grid, s, y).real
@@ -496,18 +491,17 @@ def pekar_minimize(spec: ModelSpec,
         grad_norm = grid_norm(grid, proj)
         trace.append(energy)
 
-        if it % restart_every == 0 or grad_norm <= tol_grad:
+        if it % PEKAR_RESTART_EVERY == 0 or grad_norm <= PEKAR_TOL_GRAD:
             eta = eta_pekar(spec, psi)
             op = assemble_hz(spec, eta_to_z(eta, spec.dispersion))
             e0, psi_eig = ground_eigenpair(op)
-            energy_eig = coupling.reduced_value(spec, psi_eig)
+            energy_eig, grad_eig = reduced(spec, psi_eig)
             if energy_eig < energy - 1e-14:
-                psi, energy = psi_eig, energy_eig
-                grad = coupling.reduced_gradient(spec, psi)
+                psi, energy, grad = psi_eig, energy_eig, grad_eig
                 trace.append(energy)
             proj = grad - grid_inner(grid, psi.values, grad).real * psi.values
             grad_norm = grid_norm(grid, proj)
-            if grad_norm <= tol_grad:
+            if grad_norm <= PEKAR_TOL_GRAD:
                 converged = True
 
     return PekarMinimizeResult(psi_star=psi, energy=energy,

@@ -100,13 +100,16 @@ class ParticleGrid:
 def build_particle_grid(dim: int, n_particles: int, extent: float,
                         points_per_axis: int,
                         memory_cap: int = DEFAULT_GRID_CAP) -> ParticleGrid:
+    """Checked grid; below 8 points only the frozen single site (d = 1, one
+    particle, one point) is admitted."""
     if dim not in (1, 2):
         raise ValueError(f"dim must be 1 or 2, got {dim}")
     if n_particles < 1:
         raise ValueError("n_particles must be >= 1")
-    if extent <= 0:
-        raise ValueError("extent must be positive")
-    if points_per_axis < 8 or points_per_axis % 2 != 0:
+    if not 0 < extent < np.inf:
+        raise ValueError("extent must be positive and finite")
+    if (dim, n_particles, points_per_axis) != (1, 1, 1) \
+            and (points_per_axis < 8 or points_per_axis % 2 != 0):
         raise ValueError("points_per_axis must be even and >= 8")
     total = points_per_axis ** (dim * n_particles)
     if total > memory_cap:
@@ -116,13 +119,14 @@ def build_particle_grid(dim: int, n_particles: int, extent: float,
     return ParticleGrid(dim, n_particles, extent, points_per_axis)
 
 
-def frozen_particle_grid(extent: float = 0.5) -> ParticleGrid:
+def frozen_particle_grid() -> ParticleGrid:
     """Degenerate single-site grid for a pinned particle.
 
     The particle carries no kinetic energy (the Laplacian of a single site is
     zero), which is the meaning of freezing; used by field-only diagnostics.
+    Its extent is 0.5, so the single site has unit measure.
     """
-    return ParticleGrid(dim=1, n_particles=1, extent=extent, points_per_axis=1)
+    return build_particle_grid(1, 1, 0.5, 1)
 
 
 def grid_inner(grid: ParticleGrid, f: np.ndarray, g: np.ndarray) -> complex:
@@ -373,15 +377,14 @@ def make_model(family: str, grid: ParticleGrid, modes: FieldModes,
                external_potential: np.ndarray | str,
                masses: Sequence[float] | None = None,
                charge: float | None = None,
-               alpha: float | None = None,
-               drop_zero_modes: bool = True) -> ModelSpec:
+               alpha: float | None = None) -> ModelSpec:
     """Assemble and validate a model instance.
 
     Zero-frequency modes are admitted only if the coupling vanishes there,
-    in which case they are dropped from the mode set.
+    in which case they are always dropped from the mode set.
     """
     w_pot = resolve_potential(external_potential, grid)
-    if drop_zero_modes and np.any(dispersion.values == 0):
+    if np.any(dispersion.values == 0):
         keep = dispersion.values > 0
         for t in form_factor.tables:
             if np.any(np.abs(t[:, ~keep]) > 0):
@@ -617,8 +620,8 @@ def model_from_json(doc: dict) -> ModelSpec:
             raise ValueError(f"model key {path!r} has the wrong type "
                              f"({type(node[key]).__name__})")
         v[path] = node[key]
-    grid = ParticleGrid(**{k: v[f"grid.{k}"] for k in
-                           ("dim", "n_particles", "extent", "points_per_axis")})
+    grid = build_particle_grid(**{k: v[f"grid.{k}"] for k in (
+        "dim", "n_particles", "extent", "points_per_axis")})
     table, per_particle = v["form_factor.table"], v["form_factor.per_particle"]
     form = FormFactor(
         (_array_in("form_factor.table", table, pairs=True),) * grid.n_particles

@@ -20,7 +20,9 @@ from .qc_energy import (FieldAmplitudes, WaveFunction, apply_field_matrix,
                         field_eta, mode_source, qc_energy_eta)
 
 PEKAR_AGREE_TOL = 1e-10
-DEFAULT_KERNEL_CAP = 4_000_000
+DEFAULT_KERNEL_CAP = 4_000_000  # entries of a materialized kernel
+FIXED_POINT_TOL = 1e-12  # fixed_point_eta's step-norm target
+FIXED_POINT_MAX_ITER = 500
 
 
 # ---------------------------------------------------------------------------
@@ -50,22 +52,22 @@ def eta_pekar_info(spec: ModelSpec, psi: WaveFunction):
 
 
 def fixed_point_eta(spec: ModelSpec, psi: WaveFunction,
-                    start: np.ndarray | None = None,
-                    tol: float = 1e-12, max_iter: int = 500):
-    """Iterate eta <- -b - T eta, which converges when ||T|| < 1; a
-    cross-check for the direct solve."""
+                    start: np.ndarray | None = None):
+    """Iterate eta <- -b - T eta, which converges when ||T|| < 1, until a
+    step is at most FIXED_POINT_TOL, in at most FIXED_POINT_MAX_ITER steps;
+    a cross-check for the direct solve.  Returns (eta, steps taken)."""
     psi.require_normalized()
     b = spec.coupling.b_vector(spec, psi)
     t = spec.coupling.t_matrix(spec, psi)
     eta = np.zeros(spec.n_modes, dtype=complex) if start is None \
         else np.asarray(start, dtype=complex).copy()
-    for it in range(1, max_iter + 1):
+    for it in range(1, FIXED_POINT_MAX_ITER + 1):
         new = -b - apply_field_matrix(t, eta)
-        if mode_norm(spec.modes, new - eta) <= tol:
+        if mode_norm(spec.modes, new - eta) <= FIXED_POINT_TOL:
             return field_eta(new), it
         eta = new
-    raise SolverError(f"fixed-point field iteration did not reach {tol:g} "
-                      f"in {max_iter} steps")
+    raise SolverError(f"fixed-point field iteration did not reach "
+                      f"{FIXED_POINT_TOL:g} in {FIXED_POINT_MAX_ITER} steps")
 
 
 # ---------------------------------------------------------------------------
@@ -112,22 +114,22 @@ class PekarKernel:
         return u
 
 
-def pekar_kernel(spec: ModelSpec,
-                 memory_cap: int = DEFAULT_KERNEL_CAP) -> PekarKernel:
+def pekar_kernel(spec: ModelSpec) -> PekarKernel:
     """Materialize the self-interaction kernel (symmetric by construction).
 
     Only a linearly coupled field leaves a kernel; minimal coupling is
-    refused with ModelAssumptionError.
+    refused with ModelAssumptionError, and a kernel of more than
+    DEFAULT_KERNEL_CAP entries with CapacityError.
     """
     if spec.family == "pauli_fierz":
         raise ModelAssumptionError("minimal coupling leaves no "
                                    "self-interaction kernel")
     spec.dispersion.require_gap("the self-interaction kernel")
     grid = spec.grid
-    if grid.total_points ** 2 > memory_cap:
+    if grid.total_points ** 2 > DEFAULT_KERNEL_CAP:
         raise CapacityError(
             f"kernel would need {grid.total_points ** 2} entries, over the "
-            f"cap {memory_cap}; use kernel_convolve instead")
+            f"cap {DEFAULT_KERNEL_CAP}; use kernel_convolve instead")
     coef = (spec.modes.weights / spec.dispersion.values)[None, :]
     tables = spec.form_factor.tables
     pairs = tuple(tuple((ti.conj() * coef) @ tj.T for tj in tables)

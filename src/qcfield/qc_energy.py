@@ -32,11 +32,10 @@ HERMITICITY_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class WaveFunction:
-    """Complex amplitudes on the N-particle grid, L2-normalized."""
+    """Amplitudes on the N-particle grid, L2-normalized within NORM_TOL."""
 
     values: np.ndarray
     grid: ParticleGrid
-    norm_tolerance: float = NORM_TOL
 
     def __post_init__(self):
         if self.values.shape != (self.grid.total_points,):
@@ -46,10 +45,10 @@ class WaveFunction:
         return grid_norm(self.grid, self.values)
 
     def require_normalized(self) -> None:
-        if abs(self.norm() - 1.0) > self.norm_tolerance:
+        if abs(self.norm() - 1.0) > NORM_TOL:
             raise NormalizationError(
                 f"wave function norm {self.norm():.12g} is not 1 within "
-                f"{self.norm_tolerance:g}")
+                f"{NORM_TOL:g}")
 
     @staticmethod
     def normalized(values: np.ndarray, grid: ParticleGrid) -> "WaveFunction":
@@ -101,10 +100,13 @@ def z_to_eta(z: FieldAmplitudes, dispersion: Dispersion) -> FieldAmplitudes:
     return FieldAmplitudes(z.values * np.sqrt(dispersion.values), "eta")
 
 
+def complex_normal(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n complex Gaussian draws: n real parts, then n imaginary parts."""
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
 def random_wavefunction(grid: ParticleGrid, rng: np.random.Generator) -> WaveFunction:
-    raw = rng.standard_normal(grid.total_points) \
-        + 1j * rng.standard_normal(grid.total_points)
-    return WaveFunction.normalized(raw, grid)
+    return WaveFunction.normalized(complex_normal(rng, grid.total_points), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +185,10 @@ def kinetic_matrix(spec: ModelSpec) -> sp.csr_matrix:
     return total.tocsr()
 
 
-def momentum_matrix(grid: ParticleGrid, particle: int, axis: int = 0) -> sp.csr_matrix:
-    """Momentum -i d/dx of one particle coordinate on the full grid."""
+def momentum_matrix(grid: ParticleGrid, particle: int) -> sp.csr_matrix:
+    """Momentum -i d/dx of a particle's first coordinate on the full grid."""
     mom1d = _axis_momentum(grid.points_per_axis, grid.spacing)
-    return _lift_axis(grid, mom1d, particle * grid.dim + axis)
+    return _lift_axis(grid, mom1d, particle * grid.dim)
 
 
 def assemble_k0(spec: ModelSpec) -> ParticleOperator:

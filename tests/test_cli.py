@@ -55,6 +55,12 @@ def test_config_rejects_bad_inputs(tmp_path, model_dir):
         "eps_list = 0.25, 0.5\n")
     with pytest.raises(ConfigError):
         parse_run_config(increasing)
+    empty = _write_cfg(
+        tmp_path / "d.cfg",
+        f"command = qc-min\nmodel = {model_dir / 'decoupled.json'}\n"
+        "eps_list = ,\n")
+    with pytest.raises(ConfigError, match="eps_list must be non-empty"):
+        parse_run_config(empty)
 
 
 def test_model_round_trip_via_cli_paths(model_dir):
@@ -223,6 +229,18 @@ def _potential_null_entry(doc):
     doc["external_potential"][0] = None
 
 
+def _zero_extent(doc):
+    doc["grid"]["extent"] = 0
+
+
+def _nan_extent(doc):
+    doc["grid"]["extent"] = float("nan")
+
+
+def _nine_points(doc):
+    doc["grid"]["points_per_axis"] = 9
+
+
 @pytest.mark.parametrize("model, corrupt, message", [
     ("decoupled", _version_2, "ValueError: unsupported model version 2"),
     ("pf_pair", _one_table_for_two_particles,
@@ -250,7 +268,13 @@ def _potential_null_entry(doc):
     ("decoupled", _table_rows_not_pairs,
      "ValueError: model key 'form_factor.table' has malformed entries"),
     ("decoupled", _potential_null_entry,
-     "ValueError: model key 'external_potential' has malformed entries")])
+     "ValueError: model key 'external_potential' has malformed entries"),
+    ("decoupled", _zero_extent,
+     "ValueError: extent must be positive and finite"),
+    ("decoupled", _nan_extent,
+     "ValueError: extent must be positive and finite"),
+    ("decoupled", _nine_points,
+     "ValueError: points_per_axis must be even and >= 8")])
 def test_model_load_failure_writes_results(tmp_path, request, capsys, model,
                                            corrupt, message):
     spec = (decoupled_reference() if model == "decoupled"
@@ -351,7 +375,7 @@ model = {model_dir / 'decoupled.json'}
 
 @pytest.mark.parametrize("key, low", [("max_iter", 1), ("n_starts", 1),
                                       ("n_samples", 1), ("n_max", 0),
-                                      ("min_shells", 0)])
+                                      ("min_shells", 0), ("seed", 0)])
 def test_integer_below_range_exits_validation(tmp_path, model_dir, capsys,
                                               key, low):
     head = f"command = qc-min\nmodel = {model_dir / 'decoupled.json'}\n"
@@ -366,8 +390,36 @@ def test_integer_below_range_exits_validation(tmp_path, model_dir, capsys,
     assert not (tmp_path / "lo_out").exists()
 
 
+def test_negative_seed_override_exits_validation(tmp_path, model_dir, capsys):
+    cfg = _write_cfg(tmp_path / "sd.cfg", f"""command = qc-min
+model = {model_dir / 'decoupled.json'}
+""")
+    assert main(["qc-min", "--config", str(cfg), "--out",
+                 str(tmp_path / "sd_out"), "--seed", "-1"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: --seed must be >= 0"]
+    assert not (tmp_path / "sd_out").exists()
+
+
+@pytest.mark.parametrize("line", ["tol_energy = nan", "tail0 = inf"])
+def test_non_finite_tolerance_exits_validation(tmp_path, model_dir, capsys,
+                                               line):
+    key = line.split()[0]
+    cfg = _write_cfg(tmp_path / "nf.cfg", f"""command = qc-min
+model = {model_dir / 'decoupled.json'}
+{line}
+""")
+    with pytest.raises(ConfigError, match=f"{key} must be finite and positive"):
+        parse_run_config(cfg)
+    assert main(["qc-min", "--config", str(cfg),
+                 "--out", str(tmp_path / "nf_out")]) == EXIT_VALIDATION
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "nf_out").exists()
+
+
 def test_every_schema_key_accepted(tmp_path, model_dir):
-    """Each optional key documented in the schema parses."""
+    """Each optional key documented in the schema parses, and every key the
+    parser knows is documented."""
     from pathlib import Path
     schema = (Path(__file__).resolve().parent.parent / "docs"
               / "run_config_schema.txt").read_text()
@@ -383,3 +435,6 @@ model = {model_dir / 'decoupled.json'}
 {body}""")
     parsed = parse_run_config(cfg)
     assert parsed["n_max"] == 3 and parsed["eps_list"] == [0.5, 0.25]
+    documented = {line.split()[0] for line in schema.splitlines()
+                  if line and not line.startswith(" ")}
+    assert cli._KNOWN_KEYS <= documented, cli._KNOWN_KEYS - documented

@@ -287,6 +287,9 @@ def test_epsilon_sweep_rejects_bad_list(decoupled, decoupled_min):
     with pytest.raises(ValueError):
         epsilon_sweep(decoupled, [1.5, 0.5], decoupled_min.energy,
                       decoupled_min.z_star)
+    with pytest.raises(ValueError):
+        epsilon_sweep(decoupled, [], decoupled_min.energy,
+                      decoupled_min.z_star)
 
 
 def test_epsilon_sweep_checks_capacity_before_enumerating(polaron_small,
