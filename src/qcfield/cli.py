@@ -5,21 +5,26 @@ Usage:
 
 The config is a key-value text file (one `key = value` per line, `#`
 comments); see docs/run_config_schema.txt for the full key list.  Outputs
-are results.json plus trace.csv / sweep.csv / sweep.plot where applicable,
-written with 17-significant-digit numbers so repeated runs with the same
-config and seed are byte-identical.
+are results.json plus trace.csv / sweep.csv / sweep.plot where applicable.
+Numbers are written as Python's shortest round-trip repr (json.dumps), so
+each parses back to the exact double and repeated runs with the same config
+and seed are byte-identical.
 
 Exit codes: 0 success, 2 config/model validation failure, 3 solver
 non-convergence, 4 assertion failure (an embedded check did not hold).  A
-model that fails to load, and an error raised mid-run, map to one of them
+model that fails to load (an OSError such as a directory given as the model
+included) or to validate, and an error raised mid-run, map to one of them
 (see _EXIT_CODES), print one stderr line and leave results.json with the
-command and the error.  BLAS threading follows the standard variables
-(OMP_NUM_THREADS, OPENBLAS_NUM_THREADS), set before the process starts.
+command and the error.  An output directory that cannot be made exits 2
+with one "config error" line and no results.json.  BLAS threading follows
+the standard variables (OMP_NUM_THREADS, OPENBLAS_NUM_THREADS), set before
+the process starts.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 from pathlib import Path
@@ -56,31 +61,40 @@ class ConfigError(ValueError):
     pass
 
 
-_FLOAT_KEYS = {"tol_energy", "tol_residual", "tol_gap", "tail0"}
-_INT_KEYS = {"seed", "max_iter", "n_starts", "n_max", "n_samples",
-             "min_shells"}
-_INT_MINIMA = {"seed": 0, "max_iter": 1, "n_starts": 1, "n_samples": 1,
-               "n_max": 0, "min_shells": 0}
-# every key of docs/run_config_schema.txt
-_KNOWN_KEYS = _FLOAT_KEYS | _INT_KEYS | {"command", "model", "out_dir",
-                                         "eps_list", "export_kernel"}
-_DEFAULTS = {
-    "seed": 0,
-    "tol_energy": 1e-10,
-    "tol_residual": 1e-7,
-    "tol_gap": 1e-6,
-    "max_iter": 200,
-    "n_starts": 1,
-    "n_samples": 200,
-    "min_shells": 4,
-    "tail0": 1e-8,
-    "out_dir": "results",
-    "export_kernel": False,
+def _flag(value: str) -> bool:
+    if value.lower() not in ("true", "false"):
+        raise ValueError(value)
+    return value.lower() == "true"
+
+
+def _floats(value: str) -> list[float]:
+    return [float(v) for v in value.split(",") if v.strip()]
+
+
+# every key of docs/run_config_schema.txt: (parse, default, lowest value);
+# float lowest math.ulp(0.0) reads "finite and positive", None is unchecked
+_KEYS = {
+    "command": (str, None, None),
+    "model": (str, None, None),
+    "out_dir": (str, "results", None),
+    "seed": (int, 0, 0),
+    "tol_energy": (float, mz.DEFAULT_TOL_ENERGY, math.ulp(0.0)),
+    "tol_residual": (float, mz.DEFAULT_TOL_RESIDUAL, math.ulp(0.0)),
+    "tol_gap": (float, 1e-6, math.ulp(0.0)),
+    "max_iter": (int, 200, 1),
+    "n_starts": (int, 1, 1),
+    "n_samples": (int, 200, 1),
+    "eps_list": (_floats, [0.5, 0.25, 0.125, 0.0625], None),
+    "n_max": (int, None, 0),
+    "min_shells": (int, 4, 0),
+    "tail0": (float, fk.COHERENT_TAIL_TOL, math.ulp(0.0)),
+    "export_kernel": (_flag, False, None),
 }
+_KNOWN_KEYS = set(_KEYS)
 
 
 def parse_run_config(path: Path) -> dict:
-    cfg = dict(_DEFAULTS)
+    cfg = {key: default for key, (_, default, _) in _KEYS.items()}
     for lineno, raw in enumerate(path.read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -88,28 +102,23 @@ def parse_run_config(path: Path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (s.strip() for s in line.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        parse, _, low = _KEYS[key]
         try:
-            if key in _FLOAT_KEYS:
-                cfg[key] = float(value)
-            elif key in _INT_KEYS:
-                cfg[key] = int(value)
-            elif key == "eps_list":
-                cfg[key] = [float(v) for v in value.split(",") if v.strip()]
-            elif key == "export_kernel":
-                cfg[key] = value.lower() in ("1", "true", "yes")
-            else:
-                cfg[key] = value
+            cfg[key] = parse(value)
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: bad value {value!r} for "
                               f"{key}") from None
-    if "command" not in cfg:
+        if low is not None and not low <= cfg[key] < math.inf:
+            raise ConfigError(f"{key} must be >= {low}" if parse is int
+                              else f"{key} must be finite and positive")
+    if cfg["command"] is None:
         raise ConfigError("config must set 'command'")
     if cfg["command"] not in COMMANDS:
         raise ConfigError(f"unknown command {cfg['command']!r}; "
                           f"one of {', '.join(COMMANDS)}")
-    if "model" not in cfg:
+    if cfg["model"] is None:
         raise ConfigError("config must set 'model' (path to a model JSON)")
     model_path = Path(cfg["model"])
     if not model_path.is_absolute():
@@ -117,15 +126,8 @@ def parse_run_config(path: Path) -> dict:
     if not model_path.exists():
         raise ConfigError(f"model file {model_path} does not exist")
     cfg["model"] = model_path
-    for key in ("tol_energy", "tol_residual", "tol_gap", "tail0"):
-        if not 0 < cfg[key] < math.inf:
-            raise ConfigError(f"{key} must be finite and positive")
-    for key, low in _INT_MINIMA.items():
-        if cfg.get(key, low) < low:
-            raise ConfigError(f"{key} must be >= {low}")
     try:
-        cfg["eps_list"] = fk.check_eps_list(
-            cfg.get("eps_list", [0.5, 0.25, 0.125, 0.0625]))
+        cfg["eps_list"] = fk.check_eps_list(cfg["eps_list"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return cfg
@@ -136,42 +138,17 @@ def parse_run_config(path: Path) -> dict:
 # ---------------------------------------------------------------------------
 
 def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, float):
-        return format(x, ".17g")
-    raise TypeError(f"cannot format {type(x)}")
+    """One CSV / plot number: JSON spelling, floats as shortest repr."""
+    return json.dumps(x)
 
 
-def render_json(obj, indent: int = 0) -> str:
-    """Minimal JSON renderer with fixed float formatting and key order."""
-    pad = " " * indent
-    inner = " " * (indent + 2)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = [f'{inner}"{k}": {render_json(v, indent + 2)}'
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        parts = [f"{inner}{render_json(v, indent + 2)}" for v in obj]
-        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
-    if obj is None:
-        return "null"
-    if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    return _fmt(obj)
+def render_json(obj) -> str:
+    """results.json text: key order kept, floats as shortest repr."""
+    return json.dumps(obj, indent=2)
 
 
-def write_results(out_dir: Path, payload: dict) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "results.json"
-    path.write_text(render_json(payload) + "\n")
-    return path
+def write_results(out_dir: Path, payload: dict) -> None:
+    (out_dir / "results.json").write_text(render_json(payload) + "\n")
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
@@ -217,6 +194,8 @@ def _run_qc_min(spec, cfg, out_dir):
 
 
 def _run_pekar(spec, cfg, out_dir):
+    # a kernel pekar_kernel refuses fails the run before the minimization
+    kern = pk.pekar_kernel(spec) if cfg["export_kernel"] else None
     res = mz.pekar_minimize(spec, max_iter=cfg["max_iter"])
     energy = pk.pekar_energy(spec, res.psi_star)
     payload = {
@@ -229,12 +208,10 @@ def _run_pekar(spec, cfg, out_dir):
         "grad_norm": res.grad_norm,
         "eta": _complex_out(energy.eta.values),
     }
-    if cfg["export_kernel"]:
-        kern = pk.pekar_kernel(spec)
-        np_rows = kern.config_matrix
+    if kern is not None:
+        rows = kern.config_matrix.tolist()
         write_csv(out_dir / "kernel.csv",
-                  [f"y{j}" for j in range(np_rows.shape[1])],
-                  [list(map(float, row)) for row in np_rows])
+                  [f"y{j}" for j in range(len(rows[0]))], rows)
     write_results(out_dir, payload)
     return EXIT_OK if res.converged else EXIT_SOLVER
 
@@ -279,7 +256,7 @@ def _run_fock_sweep(spec, cfg, out_dir):
     if res is None:
         return EXIT_SOLVER
     rep = fk.epsilon_sweep(spec, cfg["eps_list"], res.energy, res.z_star,
-                           n_max=cfg.get("n_max"), tail0=cfg["tail0"],
+                           n_max=cfg["n_max"], tail0=cfg["tail0"],
                            min_shells=cfg["min_shells"])
     payload = {
         "command": "fock-sweep",
@@ -365,19 +342,24 @@ _RUNNERS = {
 def run(cfg: dict) -> int:
     """Execute a parsed run config; returns the process exit code."""
     out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         spec = load_model(cfg["model"])
-        report = validate_model(spec)
-        if not report.passes:
-            write_results(out_dir, {"command": cfg["command"],
-                                    "error": "model validation failed",
-                                    "validation": report.summary()})
-            return EXIT_VALIDATION
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         error = f"{type(exc).__name__}: {exc}"
         print(f"validation error: {error}", file=sys.stderr)
         write_results(out_dir, {"command": cfg["command"], "error": error})
+        return EXIT_VALIDATION
+    report = validate_model(spec)
+    if not report.passes:
+        print("validation error: model validation failed", file=sys.stderr)
+        write_results(out_dir, {"command": cfg["command"],
+                                "error": "model validation failed",
+                                "validation": report.summary()})
         return EXIT_VALIDATION
     try:
         return _RUNNERS[cfg["command"]](spec, cfg, out_dir)
@@ -400,7 +382,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = parse_run_config(args.config)
-    except (ConfigError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError, or not UTF-8
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     if cfg["command"] != args.command:

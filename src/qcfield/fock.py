@@ -130,18 +130,18 @@ def dgamma(basis: FockBasis, dispersion, epsilon: float) -> sp.csr_matrix:
     return sp.diags(diag.astype(complex), format="csr")
 
 
-def _check_capacity(dim: int, dimension_cap: int) -> None:
-    if dim > dimension_cap:
+def _check_capacity(dim: int) -> None:
+    if dim > DEFAULT_DIMENSION_CAP:
         raise CapacityError(f"tensor dimension {dim} exceeds the cap "
-                            f"{dimension_cap}")
+                            f"{DEFAULT_DIMENSION_CAP}")
 
 
-def assemble_h_eps(spec: ModelSpec, basis: FockBasis, epsilon: float,
-                   dimension_cap: int = DEFAULT_DIMENSION_CAP) -> sp.csr_matrix:
+def assemble_h_eps(spec: ModelSpec, basis: FockBasis,
+                   epsilon: float) -> sp.csr_matrix:
     """Quantized Hamiltonian on the (particle grid) x (Fock basis) space:
     H_z's coupling interaction with the field quantized, A_p (x) a_j^dag."""
     grid = spec.grid
-    _check_capacity(grid.total_points * basis.dim, dimension_cap)
+    _check_capacity(grid.total_points * basis.dim)
     k0 = assemble_k0(spec).matrix
     eye_f = sp.identity(basis.dim, format="csr", dtype=complex)
     eye_g = sp.identity(grid.total_points, format="csr", dtype=complex)
@@ -230,8 +230,7 @@ class UncoupledPreconditioner:
 
 
 def ground_state_eps(spec: ModelSpec, basis: FockBasis, epsilon: float,
-                     start: np.ndarray | None = None,
-                     dimension_cap: int = DEFAULT_DIMENSION_CAP):
+                     start: np.ndarray | None = None):
     """Ground (energy, vector) of the quantized model at one eps: assembles
     H_eps on the grid x basis space and solves it with ground_energy_eps
     from start (all-ones by default).
@@ -241,7 +240,7 @@ def ground_state_eps(spec: ModelSpec, basis: FockBasis, epsilon: float,
     flops, G^2 floats) then costs at most one application (2 G^2 F); with
     fewer Fock states plain Lanczos on the small operator is faster.
     """
-    h = assemble_h_eps(spec, basis, epsilon, dimension_cap=dimension_cap)
+    h = assemble_h_eps(spec, basis, epsilon)
     precond = (UncoupledPreconditioner(spec, basis, epsilon)
                if spec.grid.total_points <= basis.dim else None)
     return ground_energy_eps(h, preconditioner=precond, start=start)
@@ -380,8 +379,8 @@ def check_eps_list(eps_list) -> list[float]:
 
 def epsilon_sweep(spec: ModelSpec, eps_list, e_qc_ref: float,
                   z_ref: FieldAmplitudes, n_max: int | None = None,
-                  tail0: float = COHERENT_TAIL_TOL, min_shells: int = 4,
-                  dimension_cap: int = DEFAULT_DIMENSION_CAP) -> SweepReport:
+                  tail0: float = COHERENT_TAIL_TOL,
+                  min_shells: int = 4) -> SweepReport:
     """Ground energies of the quantized model along a decreasing eps list.
 
     Unless n_max is pinned, each point uses the shell rule with a tail budget
@@ -392,12 +391,12 @@ def epsilon_sweep(spec: ModelSpec, eps_list, e_qc_ref: float,
     error sequence must be non-increasing within a 1e-8 slack.
 
     The tensor dimension G * C(K + n_max, K) is checked against
-    dimension_cap before the basis is enumerated.  Each point is solved by
-    ground_state_eps from the previous point's ground vector padded with
-    zeros (the first point from the all-ones vector).  When the grid has no
-    more points than the Fock basis has states (G <= F), that solve is
-    handed an UncoupledPreconditioner, the exact inverse of the uncoupled
-    operator (K_0 (x) 1 + 1 (x) dGamma - sigma)^-1: K_0's dense
+    DEFAULT_DIMENSION_CAP before the basis is enumerated.  Each point is
+    solved by ground_state_eps from the previous point's ground vector
+    padded with zeros (the first point from the all-ones vector).  When the
+    grid has no more points than the Fock basis has states (G <= F), that
+    solve is handed an UncoupledPreconditioner, the exact inverse of the
+    uncoupled operator (K_0 (x) 1 + 1 (x) dGamma - sigma)^-1: K_0's dense
     eigendecomposition then costs at most one application, and its G^2
     floats are at most the tensor dimension.  lowest_eigenpair picks the
     path: wide-band operators with a preconditioner are solved by the
@@ -415,8 +414,7 @@ def epsilon_sweep(spec: ModelSpec, eps_list, e_qc_ref: float,
         else:
             budget = tail0 * (e / eps[0]) ** 2
             cutoff = shell_rule_n_max(spec, z_ref, e, budget, min_shells)
-        _check_capacity(grid_pts * comb(spec.n_modes + cutoff, cutoff),
-                        dimension_cap)
+        _check_capacity(grid_pts * comb(spec.n_modes + cutoff, cutoff))
         basis = build_fock_basis(spec.n_modes, cutoff)
         start = None
         if prev is not None:
@@ -424,7 +422,7 @@ def epsilon_sweep(spec: ModelSpec, eps_list, e_qc_ref: float,
             # the leading block of a larger one: pad with zeros
             start = np.pad(prev, ((0, 0), (0, basis.dim - prev.shape[1])))
             start = start.ravel()
-        energy, vec = ground_state_eps(spec, basis, e, start, dimension_cap)
+        energy, vec = ground_state_eps(spec, basis, e, start)
         prev = vec.reshape(grid_pts, basis.dim)
         resh = np.abs(prev) ** 2
         tail_ind = float(resh[:, basis.top_shell()].sum() / resh.sum())

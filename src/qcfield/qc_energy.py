@@ -23,7 +23,6 @@ from .model import (Dispersion, ModelSpec, ParticleGrid, grid_inner,
                     grid_norm)
 
 NORM_TOL = 1e-10
-HERMITICITY_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from qcfield import (CapacityError, ConsistencyError, GaugeError,
@@ -8,6 +9,8 @@ from qcfield import (CapacityError, ConsistencyError, GaugeError,
 from qcfield import cli
 from qcfield.cli import (EXIT_ASSERTION, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION,
                          ConfigError, main, parse_run_config, render_json)
+from qcfield.model import (ModelSpec, build_dispersion, build_field_modes,
+                           build_particle_grid, nelson_form_factor)
 from qcfield.presets import (cosine_coupled_reference, decoupled_reference,
                              two_particle_nelson)
 
@@ -438,3 +441,109 @@ model = {model_dir / 'decoupled.json'}
     documented = {line.split()[0] for line in schema.splitlines()
                   if line and not line.startswith(" ")}
     assert cli._KNOWN_KEYS <= documented, cli._KNOWN_KEYS - documented
+
+
+@pytest.mark.parametrize("model, error", [
+    ("pair", "CapacityError: kernel would need"),
+    ("pf", "ModelAssumptionError: minimal coupling leaves no")])
+def test_pekar_kernel_refused_before_minimizing(tmp_path, monkeypatch, pf_pair,
+                                                model, error):
+    def no_minimization(*args, **kwargs):
+        raise AssertionError("pekar_minimize ran before the kernel check")
+
+    monkeypatch.setattr(cli.mz, "pekar_minimize", no_minimization)
+    spec = two_particle_nelson(points=48) if model == "pair" else pf_pair
+    save_model(spec, tmp_path / "m.json")
+    cfg = _write_cfg(tmp_path / "pk.cfg", f"""command = pekar
+model = {tmp_path / 'm.json'}
+export_kernel = true
+""")
+    out = tmp_path / "pk_out"
+    assert main(["pekar", "--config", str(cfg), "--out", str(out)]) \
+        == EXIT_VALIDATION
+    assert not (out / "kernel.csv").exists()
+    results = json.loads((out / "results.json").read_text())
+    assert results["error"].startswith(error)
+
+
+def test_model_directory_exits_validation(tmp_path, capsys):
+    (tmp_path / "model_dir").mkdir()
+    cfg = _write_cfg(tmp_path / "dir.cfg", f"""command = qc-min
+model = {tmp_path / 'model_dir'}
+""")
+    out = tmp_path / "dir_out"
+    assert main(["qc-min", "--config", str(cfg), "--out", str(out)]) \
+        == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("validation error: IsADirectoryError: ")
+    results = json.loads((out / "results.json").read_text())
+    assert results["command"] == "qc-min"
+    assert results["error"].startswith("IsADirectoryError: ")
+
+
+def test_out_an_existing_file_exits_validation(tmp_path, model_dir, capsys):
+    cfg = _write_cfg(tmp_path / "of.cfg", f"""command = qc-min
+model = {model_dir / 'decoupled.json'}
+""")
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert main(["qc-min", "--config", str(cfg), "--out", str(out)]) \
+        == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert out.read_text() == "not a directory\n"
+
+
+def test_model_failing_validation_writes_parsable_results(tmp_path, capsys):
+    # a coupled zero-frequency mode, as in test_model.py
+    grid = build_particle_grid(1, 1, 8.0, 16)
+    modes = build_field_modes([[0.0], [1.0]], weights=[1.0, 1.0])
+    disp = build_dispersion([0.0, 1.0])
+    ff = nelson_form_factor(grid, modes, [0.3, 0.3])
+    spec = ModelSpec(family="nelson", grid=grid, modes=modes, dispersion=disp,
+                     form_factor=ff,
+                     external_potential=np.zeros(grid.total_points))
+    save_model(spec, tmp_path / "zero.json")
+    cfg = _write_cfg(tmp_path / "zero.cfg", f"""command = qc-min
+model = {tmp_path / 'zero.json'}
+""")
+    out = tmp_path / "zero_out"
+    assert main(["qc-min", "--config", str(cfg), "--out", str(out)]) \
+        == EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines() == [
+        "validation error: model validation failed"]
+    results = json.loads((out / "results.json").read_text())
+    assert results["command"] == "qc-min"
+    assert results["error"] == "model validation failed"
+    assert "FAIL" in results["validation"]
+
+
+@pytest.mark.parametrize("value", ["ture", "yes", "1"])
+def test_export_kernel_accepts_only_true_false(tmp_path, model_dir, capsys,
+                                               value):
+    head = f"command = pekar\nmodel = {model_dir / 'cosine.json'}\n"
+    for flag, expected in (("true", True), ("False", False)):
+        parsed = parse_run_config(_write_cfg(
+            tmp_path / "ok.cfg", head + f"export_kernel = {flag}\n"))
+        assert parsed["export_kernel"] is expected
+    cfg = _write_cfg(tmp_path / "ek.cfg", head + f"export_kernel = {value}\n")
+    with pytest.raises(ConfigError, match=r"ek\.cfg:3: bad value .* for "
+                                          r"export_kernel"):
+        parse_run_config(cfg)
+    assert main(["pekar", "--config", str(cfg),
+                 "--out", str(tmp_path / "ek_out")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert "export_kernel" in err[0]
+    assert not (tmp_path / "ek_out").exists()
+
+
+def test_config_not_utf8_exits_validation(tmp_path, capsys):
+    cfg = tmp_path / "latin.cfg"
+    cfg.write_bytes(b"command = qc-min\nmodel = \xe9t\xe9.json\n")
+    assert main(["qc-min", "--config", str(cfg),
+                 "--out", str(tmp_path / "latin_out")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert not (tmp_path / "latin_out").exists()
