@@ -25,7 +25,7 @@ import numpy as np
 
 from .pekar import eta_pekar, kernel_convolve
 from .qc_energy import (assemble_hz, assemble_k0, coupling_expectation,
-                        eta_to_z, momentum_matrix, _particle_marginal)
+                        eta_to_z, momentum_matrix)
 
 
 class LinearCoupling:
@@ -81,7 +81,7 @@ class MinimalCoupling:
         for p in range(grid.n_particles):
             mom_psi = momentum_matrix(grid, p) @ psi.values
             current = 2.0 * np.real(np.conj(psi.values) * mom_psi) * grid.measure
-            marg = _particle_marginal(grid, current, p)
+            marg = grid.marginal(current, p)
             b += (e / (2.0 * spec.mass_of(p))) * (_xi_table(spec, p).T @ marg)
         return b
 
@@ -96,7 +96,7 @@ class MinimalCoupling:
         for p in range(grid.n_particles):
             xi = _xi_table(spec, p)
             x = np.hstack([xi.real, xi.imag])
-            rho = _particle_marginal(grid, density, p)
+            rho = grid.marginal(density, p)
             mat += (2.0 * spec.charge ** 2 / spec.mass_of(p)) \
                 * ((x.T * rho) @ x)
         return mat * np.tile(spec.modes.weights, 2)[None, :]

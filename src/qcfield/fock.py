@@ -151,11 +151,10 @@ def assemble_h_eps(spec: ModelSpec, basis: FockBasis,
     sqw = np.sqrt(spec.modes.weights)
 
     def field(p):
-        table = spec.form_factor.tables[p]
+        lifted = grid.lift_single(spec.form_factor.tables[p], p)
         op = 0
         for j in range(spec.n_modes):
-            lam = grid.lift_single(table[:, j], p)
-            d = sp.diags(lam.astype(complex), format="csr")
+            d = sp.diags(lifted[:, j].astype(complex), format="csr")
             op = op + sqw[j] * (sp.kron(d, raising[j], format="csr")
                                 + sp.kron(d.conj(), lowering[j], format="csr"))
         return op

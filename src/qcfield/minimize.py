@@ -27,6 +27,7 @@ from .qc_energy import (ELResiduals, FieldAmplitudes, ParticleOperator,
 
 DENSE_EIG_CUTOFF = 200
 LOBPCG_MAXITER = 400
+LOBPCG_REFRESH_EVERY = 50  # _lobpcg's period of recomputing A x from x
 EIG_RESIDUAL_TOL = 1e-9
 RESIDUAL_NORM_SCALE = 1e5  # ||H|| above which the residual bound grows
 DEFAULT_TOL_ENERGY = 1e-10
@@ -150,18 +151,22 @@ def _lobpcg(work: sp.csr_matrix, start: np.ndarray, preconditioner,
     result w against x and normalizes it, applies A once, and takes the
     lowest Ritz vector of span{x, w, p}, p the previous step's update, from
     the 3 x 3 pair of inner products.  x, A x, p and A p are updated in
-    place.  lambda and ||x|| are recomputed from x and A x at each step:
-    reusing the Ritz value would carry the round-off of an ill-conditioned
-    3 x 3 pair forward and stall the residual.  When the Gram matrix of
+    place, and every LOBPCG_REFRESH_EVERY steps A x is recomputed from x:
+    the round-off that the updates accumulate in A x would otherwise hold
+    the residual above tol on operators with a large norm.  lambda and ||x||
+    are recomputed from x and A x at each step: reusing the Ritz value
+    would carry the round-off of an ill-conditioned 3 x 3 pair forward and
+    stall the residual.  When the Gram matrix of
     {x, w, p} is not positive definite, p is dropped and the step redone on
     span{x, w} (Hetmaniuk and Lehoucq 2006).  A preconditioned residual with
     no component outside span{x}, or a step on span{x, w} that is not finite
     or not definite, is a breakdown and raises SolverError.
     """
     x = start.astype(np.result_type(work.dtype, start.dtype))
-    ax = work @ x
     p = ap = None
     for it in range(LOBPCG_MAXITER + 1):
+        if it % LOBPCG_REFRESH_EVERY == 0:
+            ax = work @ x
         xx = np.vdot(x, x).real
         lam = float(np.vdot(x, ax).real / xx)
         r = np.multiply(x, -lam)

@@ -18,6 +18,7 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import CapacityError, ModelAssumptionError
 
@@ -35,7 +36,10 @@ class ParticleGrid:
     """Uniform cell-centered box grid for N particles in d dimensions.
 
     Axis points sit at -L + (i + 1/2) h with h = 2L/G; Dirichlet walls sit
-    half a cell outside the first and last point.
+    half a cell outside the first and last point.  A configuration-grid
+    array holds N particle blocks of G^d points in row-major order, particle
+    0 slowest, each block holding d axes of G points, axis 0 slowest.  The
+    lifts and marginals below are the one place that knows this order.
     """
 
     dim: int
@@ -78,23 +82,42 @@ class ParticleGrid:
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
     def lift_single(self, values: np.ndarray, particle: int) -> np.ndarray:
-        """Broadcast a single-particle array to the N-particle grid.
-
-        Returns the flat configuration-grid array of values[x_particle].
-        """
+        """Broadcast a single-particle array of shape (G^d, ...) to the
+        configuration grid: row X of the result is values[x_particle]."""
+        values = np.asarray(values)
         s = self.single_count
         n = self.n_particles
+        tail = values.shape[1:]
         shape = [1] * n
         shape[particle] = s
-        full = np.broadcast_to(np.asarray(values).reshape(shape), (s,) * n)
-        return np.ascontiguousarray(full).ravel()
+        full = np.broadcast_to(values.reshape(*shape, *tail), (s,) * n + tail)
+        return np.ascontiguousarray(full).reshape(self.total_points, *tail)
+
+    def marginal(self, flat: np.ndarray, particle: int) -> np.ndarray:
+        """Sum of a configuration-grid array over every particle but one,
+        on that particle's single-particle grid (no volume element)."""
+        arr = np.reshape(flat, (self.single_count,) * self.n_particles)
+        return arr.sum(axis=tuple(q for q in range(self.n_particles)
+                                  if q != particle))
+
+    def lift_axis(self, op1d: sp.spmatrix, particle: int,
+                  axis: int = 0) -> sp.csr_matrix:
+        """Embed an operator on the G points of one coordinate axis of one
+        particle into the configuration grid."""
+        g = self.points_per_axis
+        position = particle * self.dim + axis
+        left = g ** position
+        right = g ** (self.n_axes - position - 1)
+        out = op1d
+        if left > 1:
+            out = sp.kron(sp.identity(left, format="csr"), out, format="csr")
+        if right > 1:
+            out = sp.kron(out, sp.identity(right, format="csr"), format="csr")
+        return out.tocsr()
 
     def sum_over_particles(self, values: np.ndarray) -> np.ndarray:
         """Sum of values(x_i) over all particles, on the configuration grid."""
-        total = np.zeros(self.total_points, dtype=np.result_type(values, float))
-        for p in range(self.n_particles):
-            total += self.lift_single(values, p)
-        return total
+        return sum(self.lift_single(values, p) for p in range(self.n_particles))
 
 
 def build_particle_grid(dim: int, n_particles: int, extent: float,
@@ -616,7 +639,8 @@ def model_from_json(doc: dict) -> ModelSpec:
         node = v[parent] if parent else doc
         if key not in node:
             raise ValueError(f"model key {path!r} is missing")
-        if not isinstance(node[key], kind):
+        # JSON true/false load as bool, which is an int subclass
+        if not isinstance(node[key], kind) or isinstance(node[key], bool):
             raise ValueError(f"model key {path!r} has the wrong type "
                              f"({type(node[key]).__name__})")
         v[path] = node[key]

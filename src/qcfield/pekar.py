@@ -130,29 +130,15 @@ def pekar_kernel(spec: ModelSpec) -> PekarKernel:
         raise CapacityError(
             f"kernel would need {grid.total_points ** 2} entries, over the "
             f"cap {DEFAULT_KERNEL_CAP}; use kernel_convolve instead")
-    coef = (spec.modes.weights / spec.dispersion.values)[None, :]
+    coef = spec.modes.weights / spec.dispersion.values
     tables = spec.form_factor.tables
     pairs = tuple(tuple((ti.conj() * coef) @ tj.T for tj in tables)
                   for ti in tables)
-    config = np.zeros((grid.total_points, grid.total_points))
-    for i, row in enumerate(pairs):
-        for j, uij in enumerate(row):
-            config -= np.real(_lift_pair(grid, uij, i, j))
+    # sum_{p,q} U_pq(x_p, y_q) = sum_j coef_j conj(L_j(X)) L_j(Y), with
+    # L_j(X) = sum_p lambda_p(x_p; k_j)
+    lifted = sum(grid.lift_single(t, p) for p, t in enumerate(tables))
+    config = -np.real((lifted.conj() * coef) @ lifted.T)
     return PekarKernel(pair_kernels=pairs, config_matrix=config, grid=grid)
-
-
-def _lift_pair(grid: ParticleGrid, u: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Broadcast U(x_i, y_j) to configuration-pair indices (X, Y)."""
-    s = grid.single_count
-    n = grid.n_particles
-    shape_x = [1] * n
-    shape_x[i] = s
-    shape_y = [1] * n
-    shape_y[j] = s
-    full = u.reshape(tuple(shape_x) + tuple(shape_y))
-    full = np.broadcast_to(full, (s,) * (2 * n))
-    t = grid.total_points
-    return np.ascontiguousarray(full).reshape(t, t)
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +192,8 @@ class Density:
 def one_particle_density(psi: WaveFunction, grid: ParticleGrid) -> Density:
     """rho(x) = N * integral over the remaining coordinates of |psi|^2."""
     psi.require_normalized()
-    sq = np.abs(psi.values) ** 2
-    arr = sq.reshape((grid.single_count,) * grid.n_particles)
-    if grid.n_particles > 1:
-        arr = arr.sum(axis=tuple(range(1, grid.n_particles)))
-        arr = arr * grid.spacing ** (grid.dim * (grid.n_particles - 1))
-    vals = grid.n_particles * np.ascontiguousarray(arr).ravel()
+    cell = grid.spacing ** (grid.dim * (grid.n_particles - 1))
+    vals = grid.n_particles * (grid.marginal(np.abs(psi.values) ** 2, 0) * cell)
     return Density(values=vals, grid=grid)
 
 

@@ -160,19 +160,6 @@ def _axis_momentum(n: int, h: float) -> sp.csr_matrix:
     return sp.diags([1j * off, -1j * off], [-1, 1], format="csr", dtype=complex)
 
 
-def _lift_axis(grid: ParticleGrid, op1d: sp.spmatrix, axis: int) -> sp.csr_matrix:
-    """Embed a one-axis operator into the full configuration grid."""
-    g = grid.points_per_axis
-    left = g ** axis
-    right = g ** (grid.n_axes - axis - 1)
-    out = op1d
-    if left > 1:
-        out = sp.kron(sp.identity(left, format="csr"), out, format="csr")
-    if right > 1:
-        out = sp.kron(out, sp.identity(right, format="csr"), format="csr")
-    return out.tocsr()
-
-
 def kinetic_matrix(spec: ModelSpec) -> sp.csr_matrix:
     grid = spec.grid
     total = sp.csr_matrix((grid.total_points, grid.total_points), dtype=complex)
@@ -180,14 +167,14 @@ def kinetic_matrix(spec: ModelSpec) -> sp.csr_matrix:
     for p in range(grid.n_particles):
         coeff = spec.kinetic_coefficient(p)
         for d in range(grid.dim):
-            total = total + coeff * _lift_axis(grid, lap1d, p * grid.dim + d)
+            total = total + coeff * grid.lift_axis(lap1d, p, d)
     return total.tocsr()
 
 
 def momentum_matrix(grid: ParticleGrid, particle: int) -> sp.csr_matrix:
     """Momentum -i d/dx of a particle's first coordinate on the full grid."""
     mom1d = _axis_momentum(grid.points_per_axis, grid.spacing)
-    return _lift_axis(grid, mom1d, particle * grid.dim)
+    return grid.lift_axis(mom1d, particle)
 
 
 def assemble_k0(spec: ModelSpec) -> ParticleOperator:
@@ -275,7 +262,7 @@ def mode_source(spec: ModelSpec, density: np.ndarray) -> np.ndarray:
     marginal of a configuration-grid density (volume element included)."""
     out = np.zeros(spec.n_modes, dtype=complex)
     for p, table in enumerate(spec.form_factor.tables):
-        out += table.T @ _particle_marginal(spec.grid, density, p)
+        out += table.T @ spec.grid.marginal(density, p)
     return out
 
 
@@ -309,12 +296,6 @@ def apply_field_matrix(mat: np.ndarray, eta: np.ndarray) -> np.ndarray:
     k = eta.shape[0]
     t = mat @ np.concatenate([eta.real, eta.imag])
     return t[:k] + 1j * t[k:]
-
-
-def _particle_marginal(grid: ParticleGrid, flat: np.ndarray, p: int) -> np.ndarray:
-    arr = flat.reshape((grid.single_count,) * grid.n_particles)
-    axes = tuple(i for i in range(grid.n_particles) if i != p)
-    return arr.sum(axis=axes) if axes else arr
 
 
 @dataclass(frozen=True)

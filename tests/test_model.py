@@ -179,3 +179,21 @@ def test_json_round_trip(tmp_path, pf_pair):
 def test_trapezoid_default_weights():
     modes = build_field_modes([[-1.0], [0.0], [2.0]])
     assert np.allclose(modes.weights, [0.5, 1.5, 1.0])
+
+
+@pytest.mark.parametrize("preset, path, value", [
+    ("frozen", "grid.dim", True), ("frozen", "grid.n_particles", True),
+    ("frozen", "grid.points_per_axis", True), ("frozen", "grid.extent", True),
+    ("frozen_pf", "charge", False), ("polaron", "alpha", True)])
+def test_json_boolean_is_not_a_number(preset, path, value, frozen_mode,
+                                      frozen_pf, polaron_small):
+    """JSON true/false are Python bools, and bool is an int subclass: a
+    boolean in a numeric key is refused with the key named."""
+    spec = {"frozen": frozen_mode, "frozen_pf": frozen_pf,
+            "polaron": polaron_small}[preset]
+    doc = model_to_json(spec)
+    parent, _, key = path.rpartition(".")
+    (doc[parent] if parent else doc)[key] = value
+    with pytest.raises(ValueError, match=f"model key '{path}' has the "
+                                         f"wrong type \\(bool\\)"):
+        model_from_json(doc)

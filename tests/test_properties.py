@@ -193,3 +193,15 @@ def test_lobpcg_converges_where_reused_ritz_values_stall():
     energy, _ = ground_energy_eps(mat, preconditioner=precond)
     assert energy == pytest.approx(np.linalg.eigvalsh(mat.toarray())[0],
                                    abs=1e-9)
+
+
+def test_lobpcg_refreshes_ax_below_its_round_off_floor():
+    """Scaled by 1e8 and solved with the identity preconditioner, this draw
+    converges in 139 steps.  When A x was only ever updated in place, its
+    drift from A x held the residual near 1e-4, above the bound of 3.2e-5,
+    for all 400 steps, and the solve raised SolverError."""
+    mat, _ = _wide_band_problem(292, 1681990798, np.complex128)
+    mat = (mat * 1e8).tocsr()
+    energy, _ = ground_energy_eps(mat, preconditioner=lambda r: r.copy())
+    assert energy == pytest.approx(np.linalg.eigvalsh(mat.toarray())[0],
+                                   rel=1e-12)
