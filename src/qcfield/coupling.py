@@ -1,14 +1,18 @@
 """Particle-field couplings: the one place that tells linear from minimal.
 
-H_z and the quantized H_eps share one interaction.  Given the field operator
-A_p that particle p sees and its momentum P_p, linear coupling (nelson,
-polaron) adds sum_p A_p and minimal coupling (pauli_fierz) adds
+Given the field operator A_p that particle p sees and its momentum P_p,
+linear coupling (nelson, polaron) adds sum_p A_p and minimal coupling
+(pauli_fierz) adds
 
     sum_p (e/2m_p){P_p, A_p} + (e^2/2m_p) A_p^2.
 
-H_z passes the classical field A_p = diag a_z(x_p) and H_eps the quantized
-A_p = sum_j sqrt(w_j) (lambda_j(x_p) a_j^dag + h.c.).  At fixed psi the
-energy is quadratic in eta = omega^(1/2) z (inner products weighted by w):
+interaction is the one definition of that operator; the quantized H_eps
+evaluates it at A_p = sum_j sqrt(w_j) (lambda_j(x_p) a_j^dag + h.c.).  H_z
+takes the classical field A_p = diag a_z(x_p) through field_data, which
+maps the lifted fields a_p straight to data on H_z's memoised sparsity
+pattern (qc_energy.hz_pattern), summing in interaction's order so that
+both give the same matrix.  At fixed psi the energy is quadratic in
+eta = omega^(1/2) z (inner products weighted by w):
 
     E(psi, eta) = <K_0>_psi + ||eta||^2 + 2 Re<eta|b_psi> + Re<eta|T_psi eta>.
 
@@ -35,6 +39,12 @@ class LinearCoupling:
     def interaction(self, spec, field, momentum):
         """sum_p field(p); momentum is not used."""
         return sum(field(p) for p in range(spec.grid.n_particles))
+
+    def field_data(self, spec, pattern, fields):
+        """sum_p a_p on the pattern's diagonal."""
+        data = np.zeros_like(pattern.k0_data)
+        data[pattern.diagonal] = sum(fields)
+        return data
 
     def b_vector(self, spec, psi):
         """b_j = <psi| sum_p lambda_p(x_p;k_j) |psi> / sqrt(omega_j)."""
@@ -72,6 +82,18 @@ class MinimalCoupling:
             total = total + (e / (2.0 * m)) * (mom @ a + a @ mom) \
                 + (e ** 2 / (2.0 * m)) * (a @ a)
         return total
+
+    def field_data(self, spec, pattern, fields):
+        """interaction's sum on the pattern, P_p's entries times
+        a_p[col] + a_p[row] and a_p^2 on the diagonal."""
+        e = spec.charge
+        data = np.zeros_like(pattern.k0_data)
+        for p, a in enumerate(fields):
+            mom, m = pattern.momentum[p], spec.mass_of(p)
+            data += (e / (2.0 * m)) * (mom * a[pattern.indices]
+                                       + a[pattern.rows] * mom)
+            data[pattern.diagonal] += (e ** 2 / (2.0 * m)) * (a * a)
+        return data
 
     def b_vector(self, spec, psi):
         """b_j = sum_p (e/2m_p) <psi|{P_p, xi_j(x_p)}|psi>, xi = omega^(-1/2) lambda."""

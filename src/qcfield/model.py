@@ -574,6 +574,8 @@ def _array_in(path: str, data, pairs: bool = False) -> np.ndarray:
     """Finite float array of a model key, complex from [re, im] pairs; a
     malformed entry raises ValueError naming the key."""
     bad = f"model key {path!r} has malformed entries"
+    if _holds_bool(data):  # numpy would read true as 1.0
+        raise ValueError(bad)
     try:
         a = np.asarray(data, dtype=float)  # null entries become nan
     except (TypeError, ValueError):
@@ -581,6 +583,13 @@ def _array_in(path: str, data, pairs: bool = False) -> np.ndarray:
     if not np.all(np.isfinite(a)) or (pairs and a.shape[-1:] != (2,)):
         raise ValueError(bad)
     return a[..., 0] + 1j * a[..., 1] if pairs else a
+
+
+def _holds_bool(data) -> bool:
+    """True if a JSON value holds a boolean at any depth."""
+    if isinstance(data, list):
+        return any(map(_holds_bool, data))
+    return isinstance(data, bool)
 
 
 def model_to_json(spec: ModelSpec) -> dict:

@@ -6,7 +6,8 @@ For a field configuration z the particle feels
 
 with a_z(x) = 2 Re <z|lambda(x)> and the interaction of the model's coupling
 (qcfield.coupling): the potential sum_i a_z(x_i) for linear coupling, the
-first-order minimal-coupling operator for the vector family.  The energy
+first-order minimal-coupling operator for the vector family.  Every H_z of
+a model is built on one memoised sparsity pattern (hz_pattern).  The energy
 qc_energy(psi, z) = <psi|H_z|psi> and its eta-gauge variant (eta = omega^(1/2) z)
 drive everything downstream.
 """
@@ -225,19 +226,72 @@ def effective_potential(spec: ModelSpec, z: FieldAmplitudes,
     return 2.0 * np.real(table @ (spec.modes.weights * np.conj(z.values)))
 
 
+@dataclass(frozen=True, eq=False)
+class HzPattern:
+    """The CSR sparsity pattern every H_z of a model is built on: the union
+    of K_0's entries, the diagonal and each particle's momentum P_p, with
+    sorted indices.  k0_data and momentum hold K_0 and each P_p on it;
+    diagonal and rows give the position of each (i, i) entry and the row
+    of each entry.  Every array is read-only: indices and indptr are shared
+    by every H_z, so an in-place scipy call on one raises instead of
+    corrupting the next build."""
+
+    indices: np.ndarray
+    indptr: np.ndarray
+    rows: np.ndarray
+    diagonal: np.ndarray
+    k0_data: np.ndarray
+    momentum: tuple[np.ndarray, ...]
+
+
+def hz_pattern(spec: ModelSpec) -> HzPattern:
+    """H_z's sparsity pattern, memoised on the spec as assemble_k0 is."""
+    pattern = spec.__dict__.get("_hz_pattern")
+    if pattern is None:
+        grid = spec.grid
+        n = grid.total_points
+        k0 = assemble_k0(spec).matrix
+        moms = [momentum_matrix(grid, p) for p in range(grid.n_particles)]
+
+        def keys(mat):  # row-major position of each stored entry
+            coo = mat.tocoo()
+            return coo.row.astype(np.int64) * n + coo.col
+
+        def on_pattern(mat):
+            data = np.zeros(union.size, dtype=complex)
+            data[np.searchsorted(union, keys(mat))] = mat.data
+            return data
+
+        diag_keys = np.arange(n, dtype=np.int64) * (n + 1)
+        union = np.unique(np.concatenate([keys(k0), diag_keys]
+                                         + [keys(m) for m in moms]))
+        rows, cols = np.divmod(union, n)
+        # scipy picks the index dtype of the arrays every H_z shares
+        layout = sp.csr_matrix((np.zeros(union.size), (rows, cols)),
+                               shape=(n, n))
+        pattern = spec.__dict__["_hz_pattern"] = HzPattern(
+            indices=layout.indices, indptr=layout.indptr, rows=rows,
+            diagonal=np.searchsorted(union, diag_keys),
+            k0_data=on_pattern(k0),
+            momentum=tuple(on_pattern(m) for m in moms))
+        for arr in (pattern.indices, pattern.indptr, pattern.rows,
+                    pattern.diagonal, pattern.k0_data, *pattern.momentum):
+            arr.flags.writeable = False
+    return pattern
+
+
 def assemble_hz(spec: ModelSpec, z: FieldAmplitudes) -> ParticleOperator:
-    """Effective Hamiltonian H_z with the field self-energy as offset; the
-    coupling's interaction at the classical field A_p = diag a_z(x_p)."""
+    """Effective Hamiltonian H_z with the field self-energy as offset: K_0's
+    data plus the coupling's field data at the lifted classical fields
+    a_z(x_p), on the memoised pattern."""
     grid = spec.grid
-
-    def field(p):
-        a_vals = grid.lift_single(effective_potential(spec, z, p), p)
-        return sp.diags(a_vals.astype(complex), format="csr")
-
-    interaction = spec.coupling.interaction(
-        spec, field, lambda p: momentum_matrix(grid, p))
-    mat = assemble_k0(spec).matrix + interaction
-    return ParticleOperator(matrix=mat.tocsr(), grid=grid,
+    pattern = hz_pattern(spec)
+    fields = [grid.lift_single(effective_potential(spec, z, p), p)
+              for p in range(grid.n_particles)]
+    data = pattern.k0_data + spec.coupling.field_data(spec, pattern, fields)
+    mat = sp.csr_matrix((data, pattern.indices, pattern.indptr),
+                        shape=(grid.total_points,) * 2)
+    return ParticleOperator(matrix=mat, grid=grid,
                             constant_offset=field_self_energy(spec, z))
 
 

@@ -197,3 +197,32 @@ def test_json_boolean_is_not_a_number(preset, path, value, frozen_mode,
     with pytest.raises(ValueError, match=f"model key '{path}' has the "
                                          f"wrong type \\(bool\\)"):
         model_from_json(doc)
+
+
+@pytest.mark.parametrize("preset, path, entry", [
+    ("frozen", "dispersion", [True]),
+    ("frozen", "modes.quadrature_weights", [True]),
+    ("frozen", "form_factor.table", [[[True, False]]]),
+    ("frozen_pf", "masses", [True]),
+    ("polaron", "external_potential", None),
+    ("pf_pair", "form_factor.per_particle", None)])
+def test_json_boolean_inside_an_array_is_refused(preset, path, entry,
+                                                 frozen_mode, frozen_pf,
+                                                 polaron_small, pf_pair):
+    """numpy reads true as 1.0, and a list mixing true with numbers as
+    floats: a boolean at any depth of an array key is refused by name."""
+    spec = {"frozen": frozen_mode, "frozen_pf": frozen_pf,
+            "polaron": polaron_small, "pf_pair": pf_pair}[preset]
+    doc = model_to_json(spec)
+    parent, _, key = path.rpartition(".")
+    node = doc[parent] if parent else doc
+    if entry is None:  # one boolean among numbers, deep in the array
+        entry = node[key]
+        inner = entry
+        while isinstance(inner[-1], list):
+            inner = inner[-1]
+        inner[0] = True
+    node[key] = entry
+    with pytest.raises(ValueError, match=f"model key '{path}' has "
+                                         f"malformed entries"):
+        model_from_json(doc)
