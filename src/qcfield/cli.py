@@ -163,18 +163,15 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 # ---------------------------------------------------------------------------
 
 def _run_qc_min(spec, cfg, out_dir):
-    kwargs = dict(tol_energy=cfg["tol_energy"], tol_residual=cfg["tol_residual"],
-                  max_iter=cfg["max_iter"])
+    ms = mz.multi_start(spec, cfg["n_starts"], seed=cfg["seed"],
+                        tol_energy=cfg["tol_energy"],
+                        tol_residual=cfg["tol_residual"],
+                        max_iter=cfg["max_iter"])
+    res = ms.best
+    extra = {"n_starts": cfg["n_starts"]}
     if cfg["n_starts"] > 1:
-        ms = mz.multi_start(spec, cfg["n_starts"], seed=cfg["seed"], **kwargs)
-        res = ms.best
-        extra = {"n_starts": cfg["n_starts"],
-                 "min_energy": ms.min_energy,
-                 "max_energy": ms.max_energy,
-                 "max_pair_distance": ms.max_pair_distance}
-    else:
-        res = mz.alternating_minimize(spec, seed=None, **kwargs)
-        extra = {"n_starts": 1}
+        extra.update(min_energy=ms.min_energy, max_energy=ms.max_energy,
+                     max_pair_distance=ms.max_pair_distance)
     payload = {
         "command": "qc-min",
         "seed": cfg["seed"],

@@ -185,12 +185,14 @@ def ground_energy_eps(h: sp.spmatrix,
 
 def _k0_eigh(spec: ModelSpec):
     """Dense eigh of K_0, memoised on the spec beside assemble_k0's K_0;
-    real eigenvectors when K_0 is real."""
+    real eigenvectors when K_0 is real.  Both arrays are read-only."""
     eig = spec.__dict__.get("_k0_eigh")
     if eig is None:
         k0 = assemble_k0(spec).matrix.toarray()
         eig = spec.__dict__["_k0_eigh"] = scipy.linalg.eigh(
             k0 if np.any(k0.imag) else k0.real)
+        for arr in eig:
+            arr.flags.writeable = False
     return eig
 
 
@@ -389,8 +391,8 @@ def epsilon_sweep(spec: ModelSpec, eps_list, e_qc_ref: float,
     are flagged unreliable; across reliable rows (top-shell mass <= 1e-6) the
     error sequence must be non-increasing within a 1e-8 slack.
 
-    The tensor dimension G * C(K + n_max, K) is checked against
-    DEFAULT_DIMENSION_CAP before the basis is enumerated.  Each point is
+    Every point's tensor dimension G * C(K + n_max, K) is checked against
+    DEFAULT_DIMENSION_CAP before the first point is solved.  Each point is
     solved by ground_state_eps from the previous point's ground vector
     padded with zeros (the first point from the all-ones vector).  When the
     grid has no more points than the Fock basis has states (G <= F), that
@@ -406,14 +408,12 @@ def epsilon_sweep(spec: ModelSpec, eps_list, e_qc_ref: float,
     eps = check_eps_list(eps_list)
     z_ref.require_gauge("z")
     grid_pts = spec.grid.total_points
-    rows, prev = [], None
-    for e in eps:
-        if n_max is not None:
-            cutoff = n_max
-        else:
-            budget = tail0 * (e / eps[0]) ** 2
-            cutoff = shell_rule_n_max(spec, z_ref, e, budget, min_shells)
+    cutoffs = [n_max if n_max is not None else shell_rule_n_max(
+        spec, z_ref, e, tail0 * (e / eps[0]) ** 2, min_shells) for e in eps]
+    for cutoff in cutoffs:
         _check_capacity(grid_pts * comb(spec.n_modes + cutoff, cutoff))
+    rows, prev = [], None
+    for e, cutoff in zip(eps, cutoffs):
         basis = build_fock_basis(spec.n_modes, cutoff)
         start = None
         if prev is not None:

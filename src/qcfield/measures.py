@@ -15,13 +15,25 @@ import numpy as np
 
 from .model import ModelSpec, _complex_out
 from .minimize import MinimizeResult, best_particle_energy
-from .qc_energy import (FieldAmplitudes, WaveFunction, complex_normal,
-                        field_z, qc_energy, random_wavefunction)
+from .qc_energy import (FieldAmplitudes, WaveFunction, assemble_hz,
+                        complex_normal, field_z, qc_energy,
+                        random_wavefunction)
 
 WEIGHT_SUM_TOL = 1e-12
 MAX_ATOMS = 5  # default atom-count cap of random_atomic_measure
 NEAR_MIN_SPREAD = 6  # perturbed atoms of near_minimizing_measure
 BOUND_SLACK = 1e-8  # atomic_bound_check's allowance below the minimum
+
+
+def _check_measure(weights, points) -> None:
+    """Refuse all but a probability measure on field points: one z-gauge
+    point per weight, weights >= 0 summing to 1 within WEIGHT_SUM_TOL."""
+    if len(weights) != len(points):
+        raise ValueError("one field point per weight")
+    if not abs(sum(weights) - 1.0) <= WEIGHT_SUM_TOL or min(weights) < 0:
+        raise ValueError(f"not a probability vector: {list(weights)!r}")
+    for z in points:
+        z.require_gauge("z")
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,13 +43,9 @@ class AtomicStateMeasure:
     atoms: tuple[tuple[float, FieldAmplitudes, WaveFunction], ...]
 
     def __post_init__(self):
-        total = sum(w for w, _, _ in self.atoms)
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(f"atom weights sum to {total!r}, not 1")
-        for w, z, psi in self.atoms:
-            if w < 0:
-                raise ValueError("atom weights must be nonnegative")
-            z.require_gauge("z")
+        _check_measure([w for w, _, _ in self.atoms],
+                       [z for _, z, _ in self.atoms])
+        for _, _, psi in self.atoms:
             psi.require_normalized()
 
     @property
@@ -57,24 +65,19 @@ def atomic_measure_energy(spec: ModelSpec, measure: AtomicStateMeasure) -> float
 
 def shared_state_measure_energy(spec: ModelSpec, psi: WaveFunction,
                                 weights, points) -> float:
-    """Energy of a scalar measure with one shared particle state."""
-    w = np.asarray(weights, dtype=float)
-    if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
-        raise ValueError("weights must sum to 1")
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
-    if len(points) != len(w):
-        raise ValueError("one field point per weight")
-    return float(sum(wk * qc_energy(spec, psi, zk)
-                     for wk, zk in zip(w, points)))
+    """Energy of a scalar measure with one shared particle state: the
+    atomic_measure_energy of the measure whose atoms all carry psi."""
+    return atomic_measure_energy(spec, AtomicStateMeasure(atoms=tuple(
+        (w, z, psi) for w, z in zip(weights, points, strict=True))))
 
 
 def per_atom_relaxed_energy(spec: ModelSpec, weights, points) -> float:
     """Replace each atom's state by the best state of its Hamiltonian;
-    never above any shared- or per-atom-state energy on the same points."""
-    w = np.asarray(weights, dtype=float)
-    return float(sum(wk * best_particle_energy(spec, zk)
-                     for wk, zk in zip(w, points)))
+    never above any shared- or per-atom-state energy on the same points.
+    (weights, points) must be a probability measure."""
+    _check_measure(weights, points)
+    return float(sum(w * best_particle_energy(spec, z)
+                     for w, z in zip(weights, points)))
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +151,9 @@ def concentration_tally(spec: ModelSpec, measure: AtomicStateMeasure,
 class BoundCheckReport:
     """Sampled-measure energies against the coupled minimum.
 
-    Records the five-way agreement at the minimizer (coupled minimum, the
-    Dirac measure energies, the reduced energy, and the best sampled
-    fixed-field energy) plus the worst sampled violation, if any.
+    Records the agreement at the minimizer (coupled minimum, the Dirac
+    measure energy, the reduced energy, and the best sampled fixed-field
+    energy) plus the worst sampled violation, if any.
     """
 
     passes: bool
@@ -170,8 +173,11 @@ def atomic_bound_check(spec: ModelSpec, n_samples: int, seed: int,
     """Sample random atomic measures of up to MAX_ATOMS atoms; none may
     undercut the found minimum by more than BOUND_SLACK.
 
-    Also checks that the Dirac measure at the minimizer attains it and that
-    sampled fixed-field relaxed energies stay above it.
+    Both readings of a sample, with its own states and with the first
+    atom's state shared by all, come from one H_z per atom.  Also checks
+    that the Dirac measure at the minimizer attains the minimum (dirac_pm
+    is dirac_svm: one atom, one state), that e_pekar agrees with it and
+    that sampled fixed-field relaxed energies stay above it.
     """
     rng = np.random.default_rng(seed)
     e_qc = reference.energy
@@ -182,13 +188,13 @@ def atomic_bound_check(spec: ModelSpec, n_samples: int, seed: int,
     ok = True
     for _ in range(n_samples):
         measure = random_atomic_measure(spec, rng)
-        e_svm = atomic_measure_energy(spec, measure)
-        min_measure = min(min_measure, e_svm)
         shared = measure.atoms[0][2]
-        weights = [w for w, _, _ in measure.atoms]
-        points = [z for _, z, _ in measure.atoms]
-        e_pm = shared_state_measure_energy(spec, shared, weights, points)
-        min_measure = min(min_measure, e_pm)
+        e_svm = e_pm = 0.0
+        for w, z, psi in measure.atoms:
+            op = assemble_hz(spec, z)
+            e_svm += w * op.expectation(psi)
+            e_pm += w * op.expectation(shared)
+        min_measure = min(min_measure, e_svm, e_pm)
         if e_svm < floor or e_pm < floor:
             ok = False
             if witness is None:
@@ -199,17 +205,13 @@ def atomic_bound_check(spec: ModelSpec, n_samples: int, seed: int,
         if e_field < floor:
             ok = False
 
-    dirac = dirac_measure(reference.z_star, reference.psi_star)
-    dirac_svm = atomic_measure_energy(spec, dirac)
-    dirac_pm = shared_state_measure_energy(
-        spec, reference.psi_star, [1.0], [reference.z_star])
+    dirac_svm = atomic_measure_energy(
+        spec, dirac_measure(reference.z_star, reference.psi_star))
     if abs(dirac_svm - e_qc) > BOUND_SLACK \
-            or abs(dirac_pm - e_qc) > BOUND_SLACK:
-        ok = False
-    if abs(e_pekar - e_qc) > max(BOUND_SLACK, 1e-6):
+            or abs(e_pekar - e_qc) > max(BOUND_SLACK, 1e-6):
         ok = False
     return BoundCheckReport(passes=ok, e_qc=e_qc, dirac_svm=dirac_svm,
-                            dirac_pm=dirac_pm, e_pekar=e_pekar,
+                            dirac_pm=dirac_svm, e_pekar=e_pekar,
                             min_sampled_field_energy=float(min_field),
                             min_sampled_measure_energy=float(min_measure),
                             n_samples=n_samples, witness=witness)

@@ -183,13 +183,15 @@ def assemble_k0(spec: ModelSpec) -> ParticleOperator:
 
     K_0 depends on the frozen spec alone, so it is built on the first call
     and memoised on the spec, as functools.cached_property memoises; callers
-    share the one operator and must not modify it.
+    share the one operator, whose data, indices and indptr are read-only.
     """
     k0 = spec.__dict__.get("_k0")
     if k0 is None:
-        mat = kinetic_matrix(spec) + sp.diags(
-            spec.external_potential.astype(complex), format="csr")
-        k0 = spec.__dict__["_k0"] = ParticleOperator(matrix=mat.tocsr(),
+        mat = (kinetic_matrix(spec) + sp.diags(
+            spec.external_potential.astype(complex), format="csr")).tocsr()
+        for arr in (mat.data, mat.indices, mat.indptr):
+            arr.flags.writeable = False
+        k0 = spec.__dict__["_k0"] = ParticleOperator(matrix=mat,
                                                      grid=spec.grid)
     return k0
 

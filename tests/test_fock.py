@@ -306,6 +306,20 @@ def test_epsilon_sweep_checks_capacity_before_enumerating(polaron_small,
         epsilon_sweep(polaron_small, [1.0 / 64], ref.energy, ref.z_star)
 
 
+def test_epsilon_sweep_checks_capacity_before_any_solve(polaron_small,
+                                                       monkeypatch):
+    """eps = 0.5 is within the cap and 1/64 is not: the sweep is refused
+    before the first point is solved."""
+    ref = alternating_minimize(polaron_small)
+
+    def solve(*args, **kwargs):
+        raise AssertionError("ground_state_eps called before the cap check")
+
+    monkeypatch.setattr(fock, "ground_state_eps", solve)
+    with pytest.raises(CapacityError):
+        epsilon_sweep(polaron_small, [0.5, 1.0 / 64], ref.energy, ref.z_star)
+
+
 SWEEP_CASES = [("polaron_small", (1.0, 0.8), dict(tail0=1e-2, min_shells=0)),
                ("pf_small", (0.5, 0.25), {}),
                ("nelson_pair", (0.5, 0.25), {})]

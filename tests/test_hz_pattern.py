@@ -10,7 +10,7 @@ import pytest
 import scipy.sparse as sp
 
 from qcfield import (assemble_hz, assemble_k0, build_dispersion,
-                     build_field_modes, build_particle_grid, field_z,
+                     build_field_modes, build_particle_grid, field_z, fock,
                      load_model, make_model, nelson_form_factor,
                      pauli_fierz_form_factor, presets)
 from qcfield.minimize import _half_bandwidth
@@ -137,6 +137,14 @@ def test_shared_pattern_is_safe():
     a, b = assemble_hz(spec, z1).matrix, assemble_hz(spec, z2).matrix
     assert not np.shares_memory(a.data, b.data)
     assert not np.shares_memory(a.data, pattern.k0_data)
+
+
+def test_memoised_k0_and_its_eigh_are_read_only():
+    spec = pauli_fierz_pair()
+    k0 = assemble_k0(spec).matrix
+    for arr in (k0.data, k0.indices, k0.indptr, *fock._k0_eigh(spec)):
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
 
 
 @pytest.mark.parametrize("make", [presets.two_particle_nelson,

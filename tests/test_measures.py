@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -121,3 +124,60 @@ def test_witness_serialization_shape(decoupled):
     atom = doc["atoms"][0]
     assert len(atom["z"][0]) == 2  # [re, im]
     assert abs(sum(a["weight"] for a in doc["atoms"]) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("weights, n_points", [([0.5, 0.5, 0.5], 2),
+                                               ([0.5, 0.5, 0.0], 2),
+                                               ([2.0], 1), ([-1.0, 2.0], 2),
+                                               ([float("nan")], 1)])
+def test_measure_energies_refuse_non_measures(decoupled, weights, n_points):
+    psi = random_wavefunction(decoupled.grid, np.random.default_rng(40))
+    points = [field_z([0.1 * k]) for k in range(n_points)]
+    with pytest.raises(ValueError):
+        per_atom_relaxed_energy(decoupled, weights, points)
+    with pytest.raises(ValueError):
+        shared_state_measure_energy(decoupled, psi, weights, points)
+
+
+def _shifted_bound_check(decoupled, decoupled_min, shift, e_pekar=None):
+    """atomic_bound_check against the minimum raised by shift; e_pekar
+    defaults to the raised minimum, so the reduced-energy test holds."""
+    reference = dataclasses.replace(decoupled_min,
+                                    energy=decoupled_min.energy + shift)
+    return atomic_bound_check(decoupled, n_samples=40, seed=6,
+                              reference=reference,
+                              e_pekar=reference.energy
+                              if e_pekar is None else e_pekar)
+
+
+def test_bound_check_undercut_reports_witness(decoupled, decoupled_min):
+    """Sampled measures sit about 46 above the minimum: raised by 100, the
+    minimum is undercut and the first undercutting measure is the witness."""
+    rep = _shifted_bound_check(decoupled, decoupled_min, 100.0)
+    assert not rep.passes
+    assert rep.min_sampled_measure_energy < rep.e_qc
+    assert rep.witness["format"] == "qcfield-measure"
+    assert json.loads(json.dumps(rep.witness)) == rep.witness
+
+
+def test_bound_check_field_probe_undercut(decoupled, decoupled_min):
+    rep = _shifted_bound_check(decoupled, decoupled_min, 0.05)
+    assert not rep.passes
+    assert rep.witness is None
+    assert rep.min_sampled_field_energy < rep.e_qc
+
+
+def test_bound_check_dirac_mismatch(decoupled, decoupled_min):
+    rep = _shifted_bound_check(decoupled, decoupled_min, 1e-6)
+    assert not rep.passes
+    assert rep.witness is None
+    assert rep.min_sampled_field_energy >= rep.e_qc
+    assert rep.dirac_pm == rep.dirac_svm == decoupled_min.energy
+
+
+def test_bound_check_pekar_mismatch(decoupled, decoupled_min,
+                                    decoupled_pekar):
+    rep = _shifted_bound_check(decoupled, decoupled_min, 0.0,
+                               e_pekar=decoupled_pekar.energy + 1e-3)
+    assert not rep.passes
+    assert rep.witness is None

@@ -5,9 +5,9 @@ import scipy.sparse as sp
 from qcfield import (ParticleOperator, alternating_minimize, assemble_k0,
                      best_particle_energy, build_dispersion,
                      build_field_modes, build_particle_grid,
-                     equivalence_check, field_z, ground_eigenpair, make_model,
-                     multi_start, nelson_form_factor, pekar_minimize,
-                     random_wavefunction)
+                     equivalence_check, field_eta, field_z,
+                     ground_eigenpair, make_model, multi_start,
+                     nelson_form_factor, pekar_minimize, random_wavefunction)
 from qcfield.minimize import minimizer_distance
 
 from oracles import E0_HARMONIC_64, E_QC_COSINE, E_QC_DECOUPLED
@@ -118,6 +118,13 @@ def test_max_iter_exhaustion_returns_best(cosine):
     assert not res.converged
     assert res.iterations == 1
     assert np.isfinite(res.energy)
+
+
+def test_alternating_refuses_two_starts(cosine):
+    psi = random_wavefunction(cosine.grid, np.random.default_rng(7))
+    with pytest.raises(ValueError):
+        alternating_minimize(cosine, init_psi=psi,
+                             init_eta=field_eta(np.zeros(cosine.n_modes)))
 
 
 def test_multi_start_single_equals_plain(cosine):
