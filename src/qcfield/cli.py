@@ -86,8 +86,6 @@ _KEYS = {
     "n_samples": (int, 200, 1),
     "eps_list": (_floats, [0.5, 0.25, 0.125, 0.0625], None),
     "n_max": (int, None, 0),
-    "min_shells": (int, 4, 0),
-    "tail0": (float, fk.COHERENT_TAIL_TOL, math.ulp(0.0)),
     "export_kernel": (_flag, False, None),
 }
 _KNOWN_KEYS = set(_KEYS)
@@ -253,8 +251,7 @@ def _run_fock_sweep(spec, cfg, out_dir):
     if res is None:
         return EXIT_SOLVER
     rep = fk.epsilon_sweep(spec, cfg["eps_list"], res.energy, res.z_star,
-                           n_max=cfg["n_max"], tail0=cfg["tail0"],
-                           min_shells=cfg["min_shells"])
+                           n_max=cfg["n_max"])
     payload = {
         "command": "fock-sweep",
         "seed": cfg["seed"],

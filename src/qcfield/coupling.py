@@ -29,7 +29,7 @@ import numpy as np
 
 from .pekar import eta_pekar, kernel_convolve
 from .qc_energy import (assemble_hz, assemble_k0, coupling_expectation,
-                        eta_to_z, momentum_matrix)
+                        eta_to_z, hz_pattern)
 
 
 class LinearCoupling:
@@ -99,9 +99,10 @@ class MinimalCoupling:
         """b_j = sum_p (e/2m_p) <psi|{P_p, xi_j(x_p)}|psi>, xi = omega^(-1/2) lambda."""
         grid = spec.grid
         e = spec.charge
+        pattern = hz_pattern(spec)
         b = np.zeros(spec.n_modes, dtype=complex)
         for p in range(grid.n_particles):
-            mom_psi = momentum_matrix(grid, p) @ psi.values
+            mom_psi = pattern.csr(pattern.momentum[p]) @ psi.values
             current = 2.0 * np.real(np.conj(psi.values) * mom_psi) * grid.measure
             marg = grid.marginal(current, p)
             b += (e / (2.0 * spec.mass_of(p))) * (_xi_table(spec, p).T @ marg)

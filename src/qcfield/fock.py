@@ -25,14 +25,15 @@ import scipy.sparse as sp
 from scipy.special import gammainc, gammaln
 
 from .errors import CapacityError, TruncationError
-from .minimize import EIG_RESIDUAL_TOL, lowest_eigenpair
+from .minimize import lowest_eigenpair
 from .model import ModelSpec, mode_norm
 from .qc_energy import (FieldAmplitudes, WaveFunction, assemble_k0,
                         momentum_matrix, qc_energy)
 
 DEFAULT_DIMENSION_CAP = 3_000_000
 PRECONDITIONER_MARGIN = 1.0  # sigma sits this far below K_0's spectrum
-COHERENT_TAIL_TOL = 1e-8
+COHERENT_TAIL_TOL = 1e-8  # trial-state tail; sweep budget at eps_0
+SWEEP_MIN_SHELLS = 4  # sweep cutoff margin above the coherent occupation
 UNRELIABLE_TAIL = 1e-3
 MONOTONE_SLACK = 1e-8
 
@@ -165,9 +166,8 @@ def assemble_h_eps(spec: ModelSpec, basis: FockBasis,
     return (h + spec.coupling.interaction(spec, field, momentum)).tocsr()
 
 
-def ground_energy_eps(h: sp.spmatrix,
-                      residual_tol: float = EIG_RESIDUAL_TOL,
-                      preconditioner=None, start: np.ndarray | None = None):
+def ground_energy_eps(h: sp.spmatrix, preconditioner=None,
+                      start: np.ndarray | None = None):
     """Lowest eigenvalue of the quantized Hamiltonian, with its eigenvector
     (minimize.lowest_eigenpair's solve, deterministic on every path).
 
@@ -180,7 +180,7 @@ def ground_energy_eps(h: sp.spmatrix,
     the all-ones start vector on every iterative path.  Every path ends in
     the same residual check, which alone decides convergence.
     """
-    return lowest_eigenpair(h, residual_tol, preconditioner, start)
+    return lowest_eigenpair(h, preconditioner, start)
 
 
 def _k0_eigh(spec: ModelSpec):
@@ -300,15 +300,17 @@ def coherent_fock_coefficients(spec: ModelSpec, basis: FockBasis,
 
 
 def coherent_product_state(spec: ModelSpec, basis: FockBasis, epsilon: float,
-                           psi: WaveFunction, z: FieldAmplitudes,
-                           tail_tol: float = COHERENT_TAIL_TOL) -> ProductState:
+                           psi: WaveFunction,
+                           z: FieldAmplitudes) -> ProductState:
+    """psi (x) the coherent state of z, truncated and renormalized; refused
+    when the truncation discards more than COHERENT_TAIL_TOL of its mass."""
     psi.require_normalized()
     coeffs, tail = coherent_fock_coefficients(spec, basis, epsilon, z)
-    if tail > tail_tol:
+    if tail > COHERENT_TAIL_TOL:
         need = required_n_max(mode_norm(spec.modes, z.values) ** 2 / epsilon,
-                              tail_tol)
+                              COHERENT_TAIL_TOL)
         raise TruncationError(
-            f"coherent tail mass {tail:.3e} above {tail_tol:g}; "
+            f"coherent tail mass {tail:.3e} above {COHERENT_TAIL_TOL:g}; "
             f"need n_max >= {need}", required_n_max=need)
     coeffs = coeffs / np.linalg.norm(coeffs)
     values = np.kron(psi.values, coeffs)
@@ -324,11 +326,10 @@ class TrialEnergy:
 
 
 def trial_energy(spec: ModelSpec, basis: FockBasis, epsilon: float,
-                 psi: WaveFunction, z: FieldAmplitudes,
-                 tail_tol: float = COHERENT_TAIL_TOL) -> TrialEnergy:
+                 psi: WaveFunction, z: FieldAmplitudes) -> TrialEnergy:
     """Expectation of the quantized Hamiltonian in the coherent product state
     and its distance from the classical-field energy at (psi, z)."""
-    state = coherent_product_state(spec, basis, epsilon, psi, z, tail_tol)
+    state = coherent_product_state(spec, basis, epsilon, psi, z)
     h = assemble_h_eps(spec, basis, epsilon)
     vec = state.values
     energy = float((np.vdot(vec, h @ vec) * spec.grid.measure).real)
@@ -359,12 +360,12 @@ class SweepReport:
 
 
 def shell_rule_n_max(spec: ModelSpec, z_ref: FieldAmplitudes, epsilon: float,
-                     tail_budget: float, min_shells: int = 4) -> int:
-    """Cutoff for one sweep point: at least min_shells above the coherent
-    occupation of the reference field, and deep enough that the discarded
-    coherent mass stays under the budget."""
+                     tail_budget: float) -> int:
+    """Cutoff for one sweep point: at least SWEEP_MIN_SHELLS above the
+    coherent occupation of the reference field, and deep enough that the
+    discarded coherent mass stays under the budget."""
     nu = mode_norm(spec.modes, z_ref.values) ** 2 / epsilon
-    return required_n_max(nu, tail_budget, min_shells=min_shells)
+    return required_n_max(nu, tail_budget, min_shells=SWEEP_MIN_SHELLS)
 
 
 def check_eps_list(eps_list) -> list[float]:
@@ -379,13 +380,12 @@ def check_eps_list(eps_list) -> list[float]:
 
 
 def epsilon_sweep(spec: ModelSpec, eps_list, e_qc_ref: float,
-                  z_ref: FieldAmplitudes, n_max: int | None = None,
-                  tail0: float = COHERENT_TAIL_TOL,
-                  min_shells: int = 4) -> SweepReport:
+                  z_ref: FieldAmplitudes,
+                  n_max: int | None = None) -> SweepReport:
     """Ground energies of the quantized model along a decreasing eps list.
 
     Unless n_max is pinned, each point uses the shell rule with a tail budget
-    tail0 * (eps/eps_0)^2: the budget shrinks quadratically so truncation
+    COHERENT_TAIL_TOL (eps/eps_0)^2: it shrinks quadratically so truncation
     stays subdominant to the linear-in-eps convergence being measured.  Rows
     whose ground vector leaves more than 1e-3 of its mass on the top shell
     are flagged unreliable; across reliable rows (top-shell mass <= 1e-6) the
@@ -409,7 +409,7 @@ def epsilon_sweep(spec: ModelSpec, eps_list, e_qc_ref: float,
     z_ref.require_gauge("z")
     grid_pts = spec.grid.total_points
     cutoffs = [n_max if n_max is not None else shell_rule_n_max(
-        spec, z_ref, e, tail0 * (e / eps[0]) ** 2, min_shells) for e in eps]
+        spec, z_ref, e, COHERENT_TAIL_TOL * (e / eps[0]) ** 2) for e in eps]
     for cutoff in cutoffs:
         _check_capacity(grid_pts * comb(spec.n_modes + cutoff, cutoff))
     rows, prev = [], None

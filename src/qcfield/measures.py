@@ -20,7 +20,7 @@ from .qc_energy import (FieldAmplitudes, WaveFunction, assemble_hz,
                         random_wavefunction)
 
 WEIGHT_SUM_TOL = 1e-12
-MAX_ATOMS = 5  # default atom-count cap of random_atomic_measure
+MAX_ATOMS = 5  # atom-count cap of random_atomic_measure
 NEAR_MIN_SPREAD = 6  # perturbed atoms of near_minimizing_measure
 BOUND_SLACK = 1e-8  # atomic_bound_check's allowance below the minimum
 
@@ -90,10 +90,10 @@ def random_field_point(spec: ModelSpec,
     return field_z(complex_normal(rng, spec.n_modes))
 
 
-def random_atomic_measure(spec: ModelSpec, rng: np.random.Generator,
-                          max_atoms: int = MAX_ATOMS) -> AtomicStateMeasure:
-    """Up to max_atoms atoms at random_field_point fields, random states."""
-    n = int(rng.integers(1, max_atoms + 1))
+def random_atomic_measure(spec: ModelSpec,
+                          rng: np.random.Generator) -> AtomicStateMeasure:
+    """Up to MAX_ATOMS atoms at random_field_point fields, random states."""
+    n = int(rng.integers(1, MAX_ATOMS + 1))
     raw = rng.random(n)
     weights = raw / raw.sum()
     atoms = tuple(

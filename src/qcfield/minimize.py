@@ -76,11 +76,11 @@ def _shift_below_spectrum(mat: sp.csr_matrix) -> float:
     return lower - 1e-6 * max(upper - lower, abs(lower), 1.0)
 
 
-def _residual_bound(mat: sp.csr_matrix, residual_tol: float) -> float:
-    """residual_tol * max(1, ||H||_G / RESIDUAL_NORM_SCALE), ||H||_G the
+def _residual_bound(mat: sp.csr_matrix) -> float:
+    """EIG_RESIDUAL_TOL * max(1, ||H||_G / RESIDUAL_NORM_SCALE), ||H||_G the
     larger end (in magnitude) of the Gershgorin interval."""
     norm = max(abs(b) for b in _gershgorin_interval(mat))
-    return residual_tol * max(1.0, norm / RESIDUAL_NORM_SCALE)
+    return EIG_RESIDUAL_TOL * max(1.0, norm / RESIDUAL_NORM_SCALE)
 
 
 def _lanczos(work: sp.csr_matrix, start: np.ndarray, banded: bool):
@@ -217,9 +217,8 @@ def _lobpcg(work: sp.csr_matrix, start: np.ndarray, preconditioner,
     return lam, x / np.sqrt(xx)
 
 
-def lowest_eigenpair(matrix: sp.spmatrix,
-                     residual_tol: float = EIG_RESIDUAL_TOL,
-                     preconditioner=None, start: np.ndarray | None = None):
+def lowest_eigenpair(matrix: sp.spmatrix, preconditioner=None,
+                     start: np.ndarray | None = None):
     """Smallest eigenvalue and phase-fixed unit eigenvector of a sparse
     Hermitian matrix; the one ground solver behind ground_eigenpair and
     fock.ground_energy_eps.
@@ -236,10 +235,10 @@ def lowest_eigenpair(matrix: sp.spmatrix,
     built one costs nothing on the others.  Every iterative path starts
     from start, by default the normalized all-ones vector, so the result is
     deterministic.  The residual ||H v - e v|| is checked on the matrix as
-    given, against residual_tol * max(1, ||H||_G / RESIDUAL_NORM_SCALE) with
-    ||H||_G the larger end of the Gershgorin interval: round-off in H v
-    grows with ||H||.  The bound is computed once per solve.  LOBPCG stops
-    at half that bound or after LOBPCG_MAXITER steps, and emits no
+    given, against EIG_RESIDUAL_TOL * max(1, ||H||_G / RESIDUAL_NORM_SCALE)
+    with ||H||_G the larger end of the Gershgorin interval: round-off in H v
+    grows with ||H||.  The bound is computed at most once per solve.  LOBPCG
+    stops at half that bound or after LOBPCG_MAXITER steps, and emits no
     warnings; the residual check alone decides whether a solve converged.
     Solver breakdowns (ARPACK's non-convergence, a failed LU, a LOBPCG
     breakdown) raise SolverError.
@@ -256,29 +255,26 @@ def lowest_eigenpair(matrix: sp.spmatrix,
         x0 = x0 / np.linalg.norm(x0)
         banded = _half_bandwidth(work) ** 2 <= n
         if preconditioner is not None and not banded:
-            bound = _residual_bound(mat, residual_tol)
+            bound = _residual_bound(mat)
             e0, v0 = _lobpcg(work, x0, preconditioner, 0.5 * bound)
         else:
             vals, vecs = _lanczos(work, x0, banded)
             e0, v0 = float(vals[0]), vecs[:, 0]
     residual = float(np.linalg.norm(mat @ v0 - e0 * v0))
-    # the scaled bound is never below residual_tol
-    if residual > residual_tol:
-        if bound is None:
-            bound = _residual_bound(mat, residual_tol)
-        if residual > bound:
-            raise SolverError("ground eigenpair residual too large", residual)
+    # the scaled bound is never below EIG_RESIDUAL_TOL: computed only above it
+    if residual > EIG_RESIDUAL_TOL \
+            and residual > (bound or _residual_bound(mat)):
+        raise SolverError("ground eigenpair residual too large", residual)
     return e0, _fix_phase(v0)
 
 
-def ground_eigenpair(op: ParticleOperator,
-                     residual_tol: float = EIG_RESIDUAL_TOL):
+def ground_eigenpair(op: ParticleOperator):
     """Smallest eigenvalue and normalized eigenvector of a Hermitian operator.
 
     The constant offset is not added to the returned eigenvalue.  The solve
     is lowest_eigenpair's; deterministic on every path.
     """
-    e0, v0 = lowest_eigenpair(op.matrix, residual_tol)
+    e0, v0 = lowest_eigenpair(op.matrix)
     return e0, WaveFunction.normalized(v0, op.grid)
 
 
@@ -315,7 +311,6 @@ def random_field_start(spec: ModelSpec, rng: np.random.Generator) -> FieldAmplit
 
 
 def alternating_minimize(spec: ModelSpec,
-                         init_psi: WaveFunction | None = None,
                          init_eta: FieldAmplitudes | None = None,
                          tol_energy: float = DEFAULT_TOL_ENERGY,
                          tol_residual: float = DEFAULT_TOL_RESIDUAL,
@@ -325,21 +320,19 @@ def alternating_minimize(spec: ModelSpec,
 
     Convergence requires both the energy decrement below tol_energy and the
     stationarity residuals below tol_residual; the energy stalls before the
-    residuals do in flat valleys, so both are checked.  init_psi and init_eta
-    are alternative starts: give at most one.
+    residuals do in flat valleys, so both are checked.  The start is the field
+    init_eta, else eta_pekar of a random psi drawn from seed, else zero; a
+    given psi's start is init_eta=eta_pekar(spec, psi).
     """
     spec.dispersion.require_gap("alternating minimization")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    if init_psi is not None and init_eta is not None:
-        raise ValueError("give init_psi or init_eta, not both")
-    if init_psi is None and init_eta is None and seed is not None:
-        init_psi = random_wavefunction(spec.grid, np.random.default_rng(seed))
     if init_eta is not None:
         init_eta.require_gauge("eta")
         eta = init_eta
-    elif init_psi is not None:
-        eta = eta_pekar(spec, init_psi)
+    elif seed is not None:
+        eta = eta_pekar(spec, random_wavefunction(
+            spec.grid, np.random.default_rng(seed)))
     else:
         eta = field_eta(np.zeros(spec.n_modes))
 
@@ -460,10 +453,12 @@ def pekar_minimize(spec: ModelSpec,
     harms).  The coupling's reduced method gives the energy and gradient of
     each point visited in one evaluation.
 
-    The iteration count depends on round-off: on a one-mode nelson model on
-    a 1-d G = 2048 grid, starts that differ from the K_0 ground state by
-    1e-13 relative noise took 100, 121, 121 and 161 iterations (energies
-    within 3e-13); other draws have taken 81 to 201.
+    The restarts set the iteration count and round-off moves it.  On a
+    one-mode nelson model on a 1-d G = 2048 grid, 8 starts 1e-13 apart took
+    81 to 401 iterations (energies within 4e-13), 7 of them one more than a
+    multiple of PEKAR_RESTART_EVERY: BB steps alone stall (2000 iterations
+    leave a gradient norm of 9.1e-7 without restarts).  Restart periods 10,
+    20, 40 and 80 took 81, 441, 161 and 161 iterations from the K_0 start.
     """
     grid = spec.grid
     reduced = spec.coupling.reduced

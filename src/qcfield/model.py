@@ -22,7 +22,8 @@ import scipy.sparse as sp
 
 from .errors import CapacityError, ModelAssumptionError
 
-FAMILIES = ("nelson", "polaron", "pauli_fierz")
+FAMILIES = {"nelson": (), "polaron": ("alpha",),  # optional fields each needs
+            "pauli_fierz": ("masses", "charge")}
 
 DEFAULT_GRID_CAP = 1_000_000
 
@@ -121,10 +122,9 @@ class ParticleGrid:
 
 
 def build_particle_grid(dim: int, n_particles: int, extent: float,
-                        points_per_axis: int,
-                        memory_cap: int = DEFAULT_GRID_CAP) -> ParticleGrid:
-    """Checked grid; below 8 points only the frozen single site (d = 1, one
-    particle, one point) is admitted."""
+                        points_per_axis: int) -> ParticleGrid:
+    """Checked grid of at most DEFAULT_GRID_CAP points; below 8 points only
+    the frozen single site (d = 1, one particle, one point) is admitted."""
     if dim not in (1, 2):
         raise ValueError(f"dim must be 1 or 2, got {dim}")
     if n_particles < 1:
@@ -135,10 +135,10 @@ def build_particle_grid(dim: int, n_particles: int, extent: float,
             and (points_per_axis < 8 or points_per_axis % 2 != 0):
         raise ValueError("points_per_axis must be even and >= 8")
     total = points_per_axis ** (dim * n_particles)
-    if total > memory_cap:
+    if total > DEFAULT_GRID_CAP:
         raise CapacityError(
             f"infeasible grid: {points_per_axis}^{dim * n_particles} = {total} "
-            f"points exceeds the cap {memory_cap}")
+            f"points exceeds the cap {DEFAULT_GRID_CAP}")
     return ParticleGrid(dim, n_particles, extent, points_per_axis)
 
 
@@ -342,6 +342,11 @@ class ModelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        for key in ("masses", "charge", "alpha"):
+            own = key in FAMILIES[self.family]
+            if (getattr(self, key) is None) == own:
+                raise ValueError(f"{self.family} family "
+                                 f"{'needs' if own else 'takes no'} {key}")
         if self.external_potential.shape != (self.grid.total_points,):
             raise ValueError("external potential must be tabulated on the "
                              "full N-particle grid")
@@ -359,18 +364,16 @@ class ModelSpec:
         if self.family == "polaron":
             if not np.allclose(self.dispersion.values, 1.0):
                 raise ModelAssumptionError("polaron family forces dispersion == 1")
-            if self.alpha is None or self.alpha <= 0:
+            if self.alpha <= 0:
                 raise ValueError("polaron family needs alpha > 0")
         if self.family == "pauli_fierz":
             if self.grid.dim != 1:
                 raise ModelAssumptionError(
                     "minimal coupling is implemented for d = 1 only")
-            if self.masses is None or len(self.masses) != self.grid.n_particles:
+            if len(self.masses) != self.grid.n_particles:
                 raise ValueError("pauli_fierz needs one mass per particle")
             if any(m <= 0 for m in self.masses):
                 raise ValueError("masses must be positive")
-            if self.charge is None:
-                raise ValueError("pauli_fierz needs a charge")
             self.dispersion.require_gap("the minimal-coupling family")
 
     @property
@@ -384,8 +387,7 @@ class ModelSpec:
         return BY_FAMILY[self.family]
 
     def mass_of(self, particle: int) -> float:
-        if self.masses is None:
-            return 1.0
+        """Particle mass; only pauli_fierz models have masses."""
         return self.masses[particle]
 
     def kinetic_coefficient(self, particle: int) -> float:

@@ -159,18 +159,19 @@ class PekarEnergy:
     eta: FieldAmplitudes
 
 
-def pekar_energy(spec: ModelSpec, psi: WaveFunction,
-                 agree_tol: float = PEKAR_AGREE_TOL) -> PekarEnergy:
+def pekar_energy(spec: ModelSpec, psi: WaveFunction) -> PekarEnergy:
+    """Reduced energy at psi by the field route and, for the linear families,
+    the kernel route, which must agree within PEKAR_AGREE_TOL relative."""
     psi.require_normalized()
     eta = eta_pekar(spec, psi)
     value = qc_energy_eta(spec, psi, eta)
     kernel_value = spec.coupling.kernel_value(spec, psi)
     if kernel_value is not None:
         scale = max(abs(value), abs(kernel_value), 1e-30)
-        if abs(value - kernel_value) > agree_tol * scale:
+        if abs(value - kernel_value) > PEKAR_AGREE_TOL * scale:
             raise ConsistencyError(
                 f"kernel route {kernel_value!r} and field route {value!r} "
-                f"disagree beyond {agree_tol:g} relative")
+                f"disagree beyond {PEKAR_AGREE_TOL:g} relative")
     return PekarEnergy(value=value, kernel_value=kernel_value, eta=eta)
 
 

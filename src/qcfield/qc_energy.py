@@ -245,6 +245,11 @@ class HzPattern:
     k0_data: np.ndarray
     momentum: tuple[np.ndarray, ...]
 
+    def csr(self, data: np.ndarray) -> sp.csr_matrix:
+        """The matrix with the given data on this pattern."""
+        n = self.indptr.size - 1
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+
 
 def hz_pattern(spec: ModelSpec) -> HzPattern:
     """H_z's sparsity pattern, memoised on the spec as assemble_k0 is."""
@@ -291,9 +296,7 @@ def assemble_hz(spec: ModelSpec, z: FieldAmplitudes) -> ParticleOperator:
     fields = [grid.lift_single(effective_potential(spec, z, p), p)
               for p in range(grid.n_particles)]
     data = pattern.k0_data + spec.coupling.field_data(spec, pattern, fields)
-    mat = sp.csr_matrix((data, pattern.indices, pattern.indptr),
-                        shape=(grid.total_points,) * 2)
-    return ParticleOperator(matrix=mat, grid=grid,
+    return ParticleOperator(matrix=pattern.csr(data), grid=grid,
                             constant_offset=field_self_energy(spec, z))
 
 

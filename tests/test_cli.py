@@ -244,6 +244,18 @@ def _nine_points(doc):
     doc["grid"]["points_per_axis"] = 9
 
 
+def _masses_on_nelson(doc):
+    doc["masses"] = [7.0]
+
+
+def _charge_on_polaron(doc):
+    doc["charge"] = 0.5
+
+
+def _alpha_on_pauli_fierz(doc):
+    doc["alpha"] = 2.0
+
+
 @pytest.mark.parametrize("model, corrupt, message", [
     ("decoupled", _version_2, "ValueError: unsupported model version 2"),
     ("pf_pair", _one_table_for_two_particles,
@@ -277,7 +289,13 @@ def _nine_points(doc):
     ("decoupled", _nan_extent,
      "ValueError: extent must be positive and finite"),
     ("decoupled", _nine_points,
-     "ValueError: points_per_axis must be even and >= 8")])
+     "ValueError: points_per_axis must be even and >= 8"),
+    ("decoupled", _masses_on_nelson,
+     "ValueError: nelson family takes no masses"),
+    ("polaron_small", _charge_on_polaron,
+     "ValueError: polaron family takes no charge"),
+    ("pf_pair", _alpha_on_pauli_fierz,
+     "ValueError: pauli_fierz family takes no alpha")])
 def test_model_load_failure_writes_results(tmp_path, request, capsys, model,
                                            corrupt, message):
     spec = (decoupled_reference() if model == "decoupled"
@@ -364,7 +382,7 @@ model = {model_dir / 'decoupled.json'}
 
 
 @pytest.mark.parametrize("key", ["n_start", "tol_grad", "max_atoms", "scale",
-                                 "delta"])
+                                 "delta", "tail0", "min_shells"])
 def test_unknown_key_exits_validation(tmp_path, model_dir, key):
     cfg = _write_cfg(tmp_path / "uk.cfg", f"""command = qc-min
 model = {model_dir / 'decoupled.json'}
@@ -378,7 +396,7 @@ model = {model_dir / 'decoupled.json'}
 
 @pytest.mark.parametrize("key, low", [("max_iter", 1), ("n_starts", 1),
                                       ("n_samples", 1), ("n_max", 0),
-                                      ("min_shells", 0), ("seed", 0)])
+                                      ("seed", 0)])
 def test_integer_below_range_exits_validation(tmp_path, model_dir, capsys,
                                               key, low):
     head = f"command = qc-min\nmodel = {model_dir / 'decoupled.json'}\n"
@@ -404,7 +422,7 @@ model = {model_dir / 'decoupled.json'}
     assert not (tmp_path / "sd_out").exists()
 
 
-@pytest.mark.parametrize("line", ["tol_energy = nan", "tail0 = inf"])
+@pytest.mark.parametrize("line", ["tol_energy = nan", "tol_gap = inf"])
 def test_non_finite_tolerance_exits_validation(tmp_path, model_dir, capsys,
                                                line):
     key = line.split()[0]

@@ -11,7 +11,7 @@ from qcfield import (CapacityError, TruncationError, alternating_minimize,
                      stability_lower_bound, trial_energy)
 from qcfield import fock, minimize
 from qcfield.fock import coherent_fock_coefficients
-from qcfield.presets import two_particle_nelson
+from qcfield.presets import small_polaron, two_particle_nelson
 
 from oracles import (dense_displaced_oscillator,
                      displaced_oscillator_ground, fock_states, ladder_matrices)
@@ -320,9 +320,18 @@ def test_epsilon_sweep_checks_capacity_before_any_solve(polaron_small,
         epsilon_sweep(polaron_small, [0.5, 1.0 / 64], ref.energy, ref.z_star)
 
 
-SWEEP_CASES = [("polaron_small", (1.0, 0.8), dict(tail0=1e-2, min_shells=0)),
-               ("pf_small", (0.5, 0.25), {}),
-               ("nelson_pair", (0.5, 0.25), {})]
+@pytest.fixture(scope="module")
+def weak_polaron():
+    """small_polaron at alpha = 0.05: from eps = 1.0 to 0.8 the shell rule's
+    cutoff grows 5 -> 6 and F = 126 -> 210 >= G = 16, so its sweep takes
+    the zero-padded start and the preconditioned LOBPCG path."""
+    return small_polaron(alpha=0.05)
+
+
+# (case id, fixture, eps list)
+SWEEP_CASES = [("polaron_small", "weak_polaron", (1.0, 0.8)),
+               ("pf_small", "pf_small", (0.5, 0.25)),
+               ("nelson_pair", "nelson_pair", (0.5, 0.25))]
 
 
 def _spy_solves(monkeypatch):
@@ -330,30 +339,28 @@ def _spy_solves(monkeypatch):
     solves = []
     lowest_eigenpair = fock.lowest_eigenpair
 
-    def spy(h, residual_tol, preconditioner, start):
+    def spy(h, preconditioner, start):
         solves.append((preconditioner, start))
-        return lowest_eigenpair(h, residual_tol, preconditioner, start)
+        return lowest_eigenpair(h, preconditioner, start)
 
     monkeypatch.setattr(fock, "lowest_eigenpair", spy)
     return solves
 
 
-@pytest.mark.parametrize("case, eps_list, rule", SWEEP_CASES,
+@pytest.mark.parametrize("fixture, eps_list", [c[1:] for c in SWEEP_CASES],
                          ids=[c[0] for c in SWEEP_CASES])
 def test_preconditioned_sweep_matches_unpreconditioned_solve(
-        case, eps_list, rule, request, monkeypatch):
-    spec = request.getfixturevalue(case)
+        fixture, eps_list, request, monkeypatch):
+    spec = request.getfixturevalue(fixture)
     ref = alternating_minimize(spec)
     solves = _spy_solves(monkeypatch)
-    rep = epsilon_sweep(spec, eps_list, ref.energy, ref.z_star, **rule)
+    rep = epsilon_sweep(spec, eps_list, ref.energy, ref.z_star)
     monkeypatch.undo()
-    budget = rule.get("tail0", fock.COHERENT_TAIL_TOL)
     grid_pts = spec.grid.total_points
     for row, (precond, start) in zip(rep.rows, solves, strict=True):
         assert row.n_max == shell_rule_n_max(
             spec, ref.z_star, row.epsilon,
-            budget * (row.epsilon / eps_list[0]) ** 2,
-            rule.get("min_shells", 4))
+            fock.COHERENT_TAIL_TOL * (row.epsilon / eps_list[0]) ** 2)
         basis = build_fock_basis(spec.n_modes, row.n_max)
         assert (precond is not None) == (grid_pts <= basis.dim)
         h = assemble_h_eps(spec, basis, row.epsilon)

@@ -10,9 +10,10 @@ import pytest
 import scipy.sparse as sp
 
 from qcfield import (assemble_hz, assemble_k0, build_dispersion,
-                     build_field_modes, build_particle_grid, field_z, fock,
-                     load_model, make_model, nelson_form_factor,
-                     pauli_fierz_form_factor, presets)
+                     build_field_modes, build_particle_grid, coupling,
+                     eta_pekar, field_z, fock, load_model, make_model,
+                     nelson_form_factor, pauli_fierz_form_factor, presets,
+                     random_wavefunction)
 from qcfield.minimize import _half_bandwidth
 from qcfield.qc_energy import (complex_normal, effective_potential,
                                hz_pattern, momentum_matrix)
@@ -165,3 +166,34 @@ def test_operators_under_hz_built_once(monkeypatch, make):
     n = spec.grid.n_particles
     assert 1 <= calls["kinetic_matrix"] <= n
     assert calls["momentum_matrix"] <= n
+
+
+def test_minimal_b_vector_reuses_the_patterns_momentum(monkeypatch, pf_pair):
+    """eta_pekar on a minimal-coupling model applies each P_p from H_z's
+    memoised pattern, so it builds no momentum matrix per call."""
+    calls = []
+    original = qce.momentum_matrix
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(qce, "momentum_matrix", counted)
+    monkeypatch.setattr(coupling, "momentum_matrix", counted, raising=False)
+    rng = np.random.default_rng(9)
+    for _ in range(50):
+        eta_pekar(pf_pair, random_wavefunction(pf_pair.grid, rng))
+    assert len(calls) <= pf_pair.grid.n_particles
+
+
+@pytest.mark.parametrize("make", [presets.small_minimal_coupling,
+                                  presets.frozen_minimal_coupling,
+                                  pauli_fierz_pair])
+def test_pattern_momentum_applies_bit_identically(make):
+    spec = make()
+    pattern = hz_pattern(spec)
+    for seed in range(5):
+        psi = random_wavefunction(spec.grid, np.random.default_rng(seed))
+        for p in range(spec.grid.n_particles):
+            expected = momentum_matrix(spec.grid, p) @ psi.values
+            got = pattern.csr(pattern.momentum[p]) @ psi.values
+            assert got.tobytes() == expected.tobytes()

@@ -10,6 +10,7 @@ from qcfield import (AtomicStateMeasure, atomic_bound_check,
                      per_atom_relaxed_energy, qc_energy,
                      random_atomic_measure, random_wavefunction,
                      serialize_measure, shared_state_measure_energy)
+from qcfield import measures
 
 
 def test_dirac_measure_equals_qc_energy(decoupled):
@@ -115,9 +116,10 @@ def test_concentration_tally_markov(decoupled, decoupled_min):
         assert weight < 1.0 / k
 
 
-def test_witness_serialization_shape(decoupled):
+def test_witness_serialization_shape(decoupled, monkeypatch):
+    monkeypatch.setattr(measures, "MAX_ATOMS", 3)
     rng = np.random.default_rng(39)
-    m = random_atomic_measure(decoupled, rng, max_atoms=3)
+    m = random_atomic_measure(decoupled, rng)
     doc = serialize_measure(m)
     assert doc["format"] == "qcfield-measure"
     assert len(doc["atoms"]) == m.n_atoms

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from qcfield import (ParticleOperator, alternating_minimize, assemble_k0,
                      best_particle_energy, build_dispersion,
                      build_field_modes, build_particle_grid,
-                     equivalence_check, field_eta, field_z,
+                     equivalence_check, eta_pekar, field_z,
                      ground_eigenpair, make_model, multi_start,
                      nelson_form_factor, pekar_minimize, random_wavefunction)
 from qcfield.minimize import minimizer_distance
@@ -89,7 +89,7 @@ def test_energy_trace_non_increasing(cosine, nelson_small, polaron_small,
     rng = np.random.default_rng(22)
     for spec in (cosine, nelson_small, polaron_small, pf_small):
         psi0 = random_wavefunction(spec.grid, rng)
-        res = alternating_minimize(spec, init_psi=psi0)
+        res = alternating_minimize(spec, init_eta=eta_pekar(spec, psi0))
         diffs = np.diff(res.energy_trace)
         assert np.all(diffs <= 1e-12)
 
@@ -102,9 +102,10 @@ def test_converged_residuals_below_tolerance(cosine_min):
 def test_energy_invariant_under_global_phase(cosine):
     rng = np.random.default_rng(23)
     psi0 = random_wavefunction(cosine.grid, rng)
-    res_a = alternating_minimize(cosine, init_psi=psi0)
+    res_a = alternating_minimize(cosine, init_eta=eta_pekar(cosine, psi0))
     rotated = type(psi0)(psi0.values * np.exp(0.7j), cosine.grid)
-    res_b = alternating_minimize(cosine, init_psi=rotated)
+    res_b = alternating_minimize(cosine,
+                                 init_eta=eta_pekar(cosine, rotated))
     assert res_a.energy == pytest.approx(res_b.energy, abs=1e-12)
 
 
@@ -118,13 +119,6 @@ def test_max_iter_exhaustion_returns_best(cosine):
     assert not res.converged
     assert res.iterations == 1
     assert np.isfinite(res.energy)
-
-
-def test_alternating_refuses_two_starts(cosine):
-    psi = random_wavefunction(cosine.grid, np.random.default_rng(7))
-    with pytest.raises(ValueError):
-        alternating_minimize(cosine, init_psi=psi,
-                             init_eta=field_eta(np.zeros(cosine.n_modes)))
 
 
 def test_multi_start_single_equals_plain(cosine):

@@ -4,8 +4,9 @@ import pytest
 from qcfield import (CapacityError, ModelAssumptionError, build_dispersion,
                      build_field_modes, build_particle_grid, load_model,
                      make_model, mode_norm, model_from_json, model_to_json,
-                     nelson_form_factor, polaron_form_factor, save_model,
-                     validate_model)
+                     nelson_form_factor, pauli_fierz_form_factor,
+                     polaron_form_factor, save_model, validate_model)
+from qcfield import model
 from qcfield.model import is_trapping
 from qcfield.presets import decoupled_reference, small_polaron
 
@@ -22,9 +23,10 @@ def test_grid_two_particles():
     assert grid.total_points == 256
 
 
-def test_grid_memory_cap():
+def test_grid_memory_cap(monkeypatch):
+    monkeypatch.setattr(model, "DEFAULT_GRID_CAP", 10 ** 6)
     with pytest.raises(CapacityError):
-        build_particle_grid(2, 2, 4.0, 64, memory_cap=10 ** 6)
+        build_particle_grid(2, 2, 4.0, 64)
 
 
 def test_grid_preconditions():
@@ -137,6 +139,32 @@ def test_polaron_requires_unit_dispersion():
     ff = polaron_form_factor(grid, modes, alpha=1.0)
     with pytest.raises(ModelAssumptionError):
         make_model("polaron", grid, modes, disp, ff, "zero", alpha=1.0)
+
+
+def _family_model(family, **extra):
+    """A valid one-mode model of the family on a 16-point grid, with extra
+    keyword arguments to make_model on top of the family's own."""
+    grid = build_particle_grid(1, 1, 4.0, 16)
+    modes = build_field_modes([[1.0]], weights=[1.0])
+    own = {"nelson": (nelson_form_factor(grid, modes, [0.1]), {}),
+           "polaron": (polaron_form_factor(grid, modes, 0.5),
+                       dict(alpha=0.5)),
+           "pauli_fierz": (pauli_fierz_form_factor(grid, modes, [[0.3]]),
+                           dict(masses=[1.0], charge=0.3))}
+    form, kwargs = own[family]
+    return make_model(family, grid, modes, build_dispersion([1.0]), form,
+                      "harmonic", **kwargs, **extra)
+
+
+@pytest.mark.parametrize("family, extra", [
+    ("nelson", dict(masses=[7.0])), ("nelson", dict(charge=3.0)),
+    ("nelson", dict(alpha=2.0)), ("polaron", dict(masses=[1.0])),
+    ("polaron", dict(charge=0.5)), ("pauli_fierz", dict(alpha=2.0))])
+def test_make_model_refuses_keys_of_another_family(family, extra):
+    _family_model(family)  # the family's own keys are accepted
+    with pytest.raises(ValueError, match=f"{family} family takes no "
+                                         f"{next(iter(extra))}"):
+        _family_model(family, **extra)
 
 
 def test_negative_potential_rejected():

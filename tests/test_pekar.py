@@ -12,6 +12,7 @@ from qcfield import (CapacityError, ConsistencyError, FormFactor,
                      nelson_form_factor, one_particle_density, pekar_energy,
                      pekar_kernel, polaron_splitting, qc_energy_eta,
                      random_wavefunction)
+from qcfield import pekar
 
 from oracles import E0_HARMONIC_64
 
@@ -155,7 +156,7 @@ def test_pekar_energy_dual_routes_agree(nelson_small, polaron_small):
             assert pe.kernel_value == pytest.approx(pe.value, rel=1e-10)
 
 
-def test_pekar_energy_consistency_guard_trips(nelson_small):
+def test_pekar_energy_consistency_guard_trips(nelson_small, monkeypatch):
     rng = np.random.default_rng(10)
     psi = None
     for _ in range(20):  # find a draw where the two routes differ in rounding
@@ -165,8 +166,9 @@ def test_pekar_energy_consistency_guard_trips(nelson_small):
             psi = cand
             break
     assert psi is not None
+    monkeypatch.setattr(pekar, "PEKAR_AGREE_TOL", 1e-17)
     with pytest.raises(ConsistencyError):
-        pekar_energy(nelson_small, psi, agree_tol=1e-17)
+        pekar_energy(nelson_small, psi)
 
 
 def test_one_particle_density_single(nelson_small):

@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 from qcfield import (SolverError, alternating_minimize, assemble_h_eps,
                      assemble_hz, assemble_k0, build_dispersion,
                      build_field_modes, build_fock_basis, build_particle_grid,
-                     convexity_gap, field_eta, field_gradient, field_z,
-                     ground_eigenpair, ground_energy_eps, make_model,
+                     convexity_gap, eta_pekar, field_eta, field_gradient,
+                     field_z, ground_eigenpair, ground_energy_eps, make_model,
                      nelson_form_factor, pauli_fierz_form_factor,
                      polaron_form_factor, qc_energy, qc_energy_eta,
                      random_wavefunction, stability_lower_bound, trial_energy,
                      z_to_eta)
+from qcfield import fock
 
 MOMENTA = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
 
@@ -116,7 +117,8 @@ def test_field_quadratic_form_gauge_and_trace_on_random_models(
     e_eta = qc_energy_eta(spec, psi, z_to_eta(z, spec.dispersion))
     assert abs(e_z - e_eta) <= 1e-12 * max(1.0, abs(e_z))
 
-    res = alternating_minimize(spec, init_psi=psi, max_iter=30)
+    res = alternating_minimize(spec, init_eta=eta_pekar(spec, psi),
+                               max_iter=30)
     assert np.all(np.diff(res.energy_trace) <= 1e-12)
 
 
@@ -136,7 +138,9 @@ def test_quantized_ground_energy_between_trial_and_lower_bound(
     z = field_z(0.5 * (rng.standard_normal(n_modes)
                        + 1j * rng.standard_normal(n_modes)))
     _, psi = ground_eigenpair(assemble_hz(spec, z))
-    trial = trial_energy(spec, basis, eps, psi, z, tail_tol=1.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fock, "COHERENT_TAIL_TOL", 1.0)
+        trial = trial_energy(spec, basis, eps, psi, z)
     assert energy <= trial.energy + 1e-12 * max(1.0, abs(trial.energy))
     if family != "pauli_fierz":
         assert energy >= stability_lower_bound(spec)

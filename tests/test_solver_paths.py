@@ -261,15 +261,15 @@ CASES = ["dense_k0", "box_2048", "minimal_1200", "polaron_h_eps",
          "nelson_32768"]
 
 
-def _solve(case, request, **kwargs):
+def _solve(case, request):
     """(energy, vector) from the public wrapper that owns the case."""
     operand = request.getfixturevalue(case)
     if case == "polaron_h_eps":
-        return ground_energy_eps(operand, **kwargs)
+        return ground_energy_eps(operand)
     if case.endswith("_preconditioned"):
         h, precond = operand
-        return ground_energy_eps(h, preconditioner=precond, **kwargs)
-    e0, psi = ground_eigenpair(operand, **kwargs)
+        return ground_energy_eps(h, preconditioner=precond)
+    e0, psi = ground_eigenpair(operand)
     return e0, psi.values
 
 
@@ -282,9 +282,11 @@ def test_repeat_calls_bit_identical(case, request):
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_zero_residual_tolerance_raises(case, request):
+def test_zero_residual_tolerance_raises(case, request, monkeypatch):
+    request.getfixturevalue(case)  # built under the shipped tolerance
+    monkeypatch.setattr(minimize, "EIG_RESIDUAL_TOL", 0.0)
     with pytest.raises(SolverError, match="residual"):
-        _solve(case, request, residual_tol=0.0)
+        _solve(case, request)
 
 
 def test_failed_factorization_raises_solver_error(box_2048, monkeypatch):
