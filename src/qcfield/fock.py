@@ -25,13 +25,12 @@ import scipy.sparse as sp
 from scipy.special import gammainc, gammaln
 
 from .errors import CapacityError, TruncationError
-from .minimize import lowest_eigenpair
+from .minimize import PRECONDITIONER_MARGIN, lowest_eigenpair
 from .model import ModelSpec, mode_norm
 from .qc_energy import (FieldAmplitudes, WaveFunction, assemble_k0,
                         momentum_matrix, qc_energy)
 
 DEFAULT_DIMENSION_CAP = 3_000_000
-PRECONDITIONER_MARGIN = 1.0  # sigma sits this far below K_0's spectrum
 COHERENT_TAIL_TOL = 1e-8  # trial-state tail; sweep budget at eps_0
 SWEEP_MIN_SHELLS = 4  # sweep cutoff margin above the coherent occupation
 UNRELIABLE_TAIL = 1e-3

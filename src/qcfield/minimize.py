@@ -4,7 +4,7 @@ The coupled problem is minimized by alternating two exact partial steps:
 an eigensolve in psi at fixed field, and the closed-form (or linear-solve)
 field update at fixed psi.  Each step is an exact partial minimization, so
 the energy trace is non-increasing by construction.  The reduced functional
-is minimized independently by projected gradient descent on the unit sphere,
+is minimized independently by preconditioned descent on the unit sphere,
 and the two routes are compared by the equivalence check.
 """
 
@@ -33,7 +33,7 @@ RESIDUAL_NORM_SCALE = 1e5  # ||H|| above which the residual bound grows
 DEFAULT_TOL_ENERGY = 1e-10
 DEFAULT_TOL_RESIDUAL = 1e-7
 PEKAR_TOL_GRAD = 1e-8  # projected-gradient norm that ends pekar_minimize
-PEKAR_RESTART_EVERY = 40  # pekar_minimize's eigen-restart period
+PRECONDITIONER_MARGIN = 1.0  # sigma sits this far below K_0's spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +83,16 @@ def _residual_bound(mat: sp.csr_matrix) -> float:
     return EIG_RESIDUAL_TOL * max(1.0, norm / RESIDUAL_NORM_SCALE)
 
 
+def _shift_invert(mat: sp.csr_matrix, sigma: float):
+    """Sparse LU factor of mat - sigma I, whose solve applies
+    (mat - sigma)^-1; a failed factorization raises SolverError."""
+    shifted = (mat - sigma * sp.identity(mat.shape[0], format="csr")).tocsc()
+    try:
+        return spla.splu(shifted, permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:
+        raise SolverError(f"shift-invert factorization failed: {exc}") from exc
+
+
 def _lanczos(work: sp.csr_matrix, start: np.ndarray, banded: bool):
     """ARPACK's lowest pair from start: shift-invert about a Gershgorin lower
     bound when banded, the smallest algebraic end otherwise."""
@@ -90,15 +100,8 @@ def _lanczos(work: sp.csr_matrix, start: np.ndarray, banded: bool):
     kwargs = dict(k=1, v0=start, maxiter=50 * n)
     if banded:
         sigma = _shift_below_spectrum(work)
-        shifted = (work - sigma * sp.identity(n, format="csr")).tocsc()
-        try:
-            lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError as exc:
-            raise SolverError(f"shift-invert factorization failed: "
-                              f"{exc}") from exc
-        kwargs.update(sigma=sigma, which="LM",
-                      OPinv=spla.LinearOperator((n, n), matvec=lu.solve,
-                                                dtype=work.dtype))
+        kwargs.update(sigma=sigma, which="LM", OPinv=spla.LinearOperator(
+            (n, n), matvec=_shift_invert(work, sigma).solve, dtype=work.dtype))
     else:
         kwargs.update(which="SA")
     try:
@@ -446,72 +449,69 @@ def pekar_minimize(spec: ModelSpec,
     """Minimize the reduced energy over normalized psi, from K_0's ground
     state until the projected gradient norm is at most PEKAR_TOL_GRAD.
 
-    Projected gradient descent with Barzilai-Borwein steps and sphere
-    retraction; every PEKAR_RESTART_EVERY iterations the iterate is replaced
-    by the ground eigenvector of the current effective Hamiltonian whenever
-    that lowers the energy (an exact partial step, so the safeguard never
-    harms).  The coupling's reduced method gives the energy and gradient of
-    each point visited in one evaluation.
-
-    The restarts set the iteration count and round-off moves it.  On a
-    one-mode nelson model on a 1-d G = 2048 grid, 8 starts 1e-13 apart took
-    81 to 401 iterations (energies within 4e-13), 7 of them one more than a
-    multiple of PEKAR_RESTART_EVERY: BB steps alone stall (2000 iterations
-    leave a gradient norm of 9.1e-7 without restarts).  Restart periods 10,
-    20, 40 and 80 took 81, 441, 161 and 161 iterations from the K_0 start.
+    Preconditioned descent on the unit sphere (Antoine, Levitt, Tang,
+    J. Comput. Phys. 343 (2017) 92): with M = (K_0 - sigma)^-1, sigma =
+    lambda_0(K_0) - PRECONDITIONER_MARGIN, and g the coupling's gradient,
+    the step psi <- normalize(psi - tau d) follows the tangent direction
+    d = Mg - (Re<psi|Mg> / Re<psi|M psi>) M psi.  tau is the Barzilai-Borwein
+    ratio <s|s> / Re<s|d_new - d> clamped to [1e-6, 1e3], halved while the
+    energy rises.  M takes the Laplacian's 1/h^2 spread out of g, so the
+    step count does not grow as the grid is refined.  M is one sparse LU of
+    the real K_0 (SolverError if it fails), built only when the start is not
+    stationary and freed on return.  Under linear coupling the loop solves
+    no field and no eigenproblem.  iterations counts the steps taken.
     """
     grid = spec.grid
     reduced = spec.coupling.reduced
-    _, psi = ground_eigenpair(assemble_k0(spec))
+    k0 = assemble_k0(spec)
+    lam0, psi = ground_eigenpair(k0)
     energy, grad = reduced(spec, psi)
     trace = [energy]
-    proj = grad - grid_inner(grid, psi.values, grad).real * psi.values
-    step = 1.0 / max(1.0, grid_norm(grid, proj))
-    grad_norm = grid_norm(grid, proj)
-    converged = grad_norm <= PEKAR_TOL_GRAD
+    grad_norm = _tangent_norm(grid, psi, grad)
     iterations = 0
-
-    for it in range(1, max_iter + 1):
-        iterations = it
-        if converged:
-            break
-        psi_new = WaveFunction.normalized(psi.values - step * proj, grid)
-        energy_new, grad_new = reduced(spec, psi_new)
-        for _ in range(30):  # backtrack on uphill moves
-            if energy_new <= energy + 1e-13:
-                break
-            step *= 0.5
-            psi_new = WaveFunction.normalized(psi.values - step * proj, grid)
-            energy_new, grad_new = reduced(spec, psi_new)
-        s = psi_new.values - psi.values
-        y = grad_new - grad
-        sy = grid_inner(grid, s, y).real
-        if abs(sy) > 1e-300:
-            bb = grid_inner(grid, s, s).real / sy
-            if np.isfinite(bb) and bb > 0:
-                step = min(max(bb, 1e-6), 1e3)
-        psi, grad, energy = psi_new, grad_new, energy_new
-        proj = grad - grid_inner(grid, psi.values, grad).real * psi.values
-        grad_norm = grid_norm(grid, proj)
-        trace.append(energy)
-
-        if it % PEKAR_RESTART_EVERY == 0 or grad_norm <= PEKAR_TOL_GRAD:
-            eta = eta_pekar(spec, psi)
-            op = assemble_hz(spec, eta_to_z(eta, spec.dispersion))
-            e0, psi_eig = ground_eigenpair(op)
-            energy_eig, grad_eig = reduced(spec, psi_eig)
-            if energy_eig < energy - 1e-14:
-                psi, energy, grad = psi_eig, energy_eig, grad_eig
-                trace.append(energy)
-            proj = grad - grid_inner(grid, psi.values, grad).real * psi.values
-            grad_norm = grid_norm(grid, proj)
-            if grad_norm <= PEKAR_TOL_GRAD:
-                converged = True
+    if grad_norm > PEKAR_TOL_GRAD:
+        lu = _shift_invert(k0.matrix.real, lam0 - PRECONDITIONER_MARGIN)
+        direction = _preconditioned_direction(lu, psi, grad)
+        step = 1.0
+        while iterations < max_iter and grad_norm > PEKAR_TOL_GRAD:
+            iterations += 1
+            for _ in range(31):  # backtrack on uphill moves
+                psi_new = WaveFunction.normalized(
+                    psi.values - step * direction, grid)
+                energy_new, grad_new = reduced(spec, psi_new)
+                if energy_new <= energy + 1e-13:
+                    break
+                step *= 0.5
+            direction_new = _preconditioned_direction(lu, psi_new, grad_new)
+            s = psi_new.values - psi.values
+            sy = grid_inner(grid, s, direction_new - direction).real
+            if sy > 0:
+                step = min(max(grid_inner(grid, s, s).real / sy, 1e-6), 1e3)
+            psi, grad, energy, direction = (psi_new, grad_new, energy_new,
+                                            direction_new)
+            grad_norm = _tangent_norm(grid, psi, grad)
+            trace.append(energy)
 
     return PekarMinimizeResult(psi_star=psi, energy=energy,
                                iterations=iterations, grad_norm=grad_norm,
                                energy_trace=np.asarray(trace),
-                               converged=converged)
+                               converged=grad_norm <= PEKAR_TOL_GRAD)
+
+
+def _tangent_norm(grid, psi: WaveFunction, grad: np.ndarray) -> float:
+    """Norm of the gradient projected on the sphere's tangent space at psi."""
+    return grid_norm(grid, grad - grid_inner(grid, psi.values, grad).real
+                     * psi.values)
+
+
+def _preconditioned_direction(lu, psi: WaveFunction, grad: np.ndarray):
+    """Mg - (Re<psi|Mg> / Re<psi|M psi>) M psi, the real LU factor lu of
+    M^-1 solving for the real and imaginary parts of g and psi at once."""
+    m = lu.solve(np.column_stack([grad.real, grad.imag,
+                                  psi.values.real, psi.values.imag]))
+    m_grad, m_psi = m[:, 0] + 1j * m[:, 1], m[:, 2] + 1j * m[:, 3]
+    return m_grad - (np.vdot(psi.values, m_grad).real
+                     / np.vdot(psi.values, m_psi).real) * m_psi
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,16 @@ max_iter = 3
     assert results["error"].startswith("CapacityError: kernel would need")
 
 
+def test_pekar_default_max_iter_converges_on_fine_grid(tmp_path, soliton):
+    save_model(soliton(256), tmp_path / "soliton.json")
+    cfg = _write_cfg(tmp_path / "pk.cfg", f"""command = pekar
+model = {tmp_path / 'soliton.json'}
+""")
+    out = tmp_path / "pk_out"
+    assert main(["pekar", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert json.loads((out / "results.json").read_text())["converged"]
+
+
 def _version_2(doc):
     doc["version"] = 2
 

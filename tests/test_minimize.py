@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from qcfield import (ParticleOperator, alternating_minimize, assemble_k0,
-                     best_particle_energy, build_dispersion,
+from qcfield import (ParticleOperator, SolverError, alternating_minimize,
+                     assemble_k0, best_particle_energy, build_dispersion,
                      build_field_modes, build_particle_grid,
                      equivalence_check, eta_pekar, field_z,
                      ground_eigenpair, make_model, multi_start,
                      nelson_form_factor, pekar_minimize, random_wavefunction)
+from qcfield import minimize
 from qcfield.minimize import minimizer_distance
+from qcfield.model import resolve_potential
 
-from oracles import E0_HARMONIC_64, E_QC_COSINE, E_QC_DECOUPLED
+from oracles import E0_HARMONIC_64, E_QC_COSINE, E_QC_DECOUPLED, E_SOLITON
 
 
 def test_ground_eigenpair_diagonal():
@@ -164,6 +166,58 @@ def test_pekar_minimize_minimal_coupling(pf_small):
     assert res.converged
     alt = alternating_minimize(pf_small)
     assert res.energy == pytest.approx(alt.energy, abs=1e-8)
+
+
+def test_pekar_minimize_stationary_start_takes_no_step(decoupled_pekar):
+    # K_0's ground state is already the reduced minimizer
+    assert decoupled_pekar.iterations == 0
+    assert len(decoupled_pekar.energy_trace) == 1
+
+
+def test_pekar_minimize_failed_factor_raises_solver_error(cosine,
+                                                          monkeypatch):
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(minimize.spla, "splu", singular)
+    with pytest.raises(SolverError, match="factorization"):
+        pekar_minimize(cosine)
+
+
+def test_pekar_minimize_count_ignores_round_off():
+    """The 1-d G = 2048 one-mode nelson model, its harmonic potential
+    perturbed by 1e-12 standard normals: every draw takes the same number
+    of steps.  A 1e-13 perturbation is below the round-off of K_0's
+    diagonal (about 3.3e4 here) and leaves K_0 unchanged."""
+    grid = build_particle_grid(1, 1, 8.0, 2048)
+    modes = build_field_modes([[1.0]], weights=[1.0])
+    disp = build_dispersion([1.0])
+    form = nelson_form_factor(grid, modes, [0.5], dispersion=disp)
+    harmonic = resolve_potential("harmonic", grid)
+    rng = np.random.default_rng(0)
+    counts = set()
+    for _ in range(8):
+        spec = make_model("nelson", grid, modes, disp, form, harmonic
+                          + 1e-12 * rng.standard_normal(harmonic.shape))
+        res = pekar_minimize(spec)
+        assert res.converged
+        counts.add(res.iterations)
+    assert len(counts) == 1
+
+
+def test_pekar_minimize_soliton_continuum_limit(soliton):
+    """The reduced route converges to the cubic NLS soliton's energy
+    -pi^2 alpha^2 / 3 at second order in the grid spacing, in a step count
+    that does not grow with the grid."""
+    errors = []
+    for points in (64, 128, 256, 512):
+        res = pekar_minimize(soliton(points))
+        assert res.converged
+        assert res.iterations <= 30
+        errors.append(res.energy - E_SOLITON)
+    ratios = np.array(errors[:-1]) / np.array(errors[1:])
+    assert np.all((3.5 <= ratios) & (ratios <= 4.5))
+    assert abs(errors[-1]) < 5e-5
 
 
 def test_equivalence_decoupled(decoupled):
