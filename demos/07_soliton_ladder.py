@@ -10,37 +10,29 @@ whose minimum over normalized psi is -pi^2 alpha^2 / 3, attained by the
 cubic NLS soliton sqrt(kappa / 2) sech(kappa x) with kappa = pi alpha.
 Refining the grid with Lambda = 12 G / 64 (mode spacing 0.5) shows the
 error fall fourfold per doubling, while the preconditioned reduced
-minimizer takes about the same number of steps at every grid size.
+minimizer takes about the same number of steps at every grid size.  The
+alternating route (exact psi- and field-steps) reaches the same minimum.
 """
 
 import numpy as np
 
-from qcfield import (build_dispersion, build_field_modes, build_particle_grid,
-                     make_model, pekar_minimize, polaron_form_factor)
+from qcfield import alternating_minimize, pekar_minimize
+from qcfield.presets import soliton_polaron
 
-ALPHA = 0.3
-EXACT = -np.pi ** 2 * ALPHA ** 2 / 3
+alpha = soliton_polaron(64).alpha
+exact = -np.pi ** 2 * alpha ** 2 / 3
 
-
-def soliton_polaron(points: int):
-    cutoff = 12.0 * points / 64
-    k = np.linspace(-cutoff, cutoff, int(round(4 * cutoff)) + 1)
-    grid = build_particle_grid(1, 1, 8.0, points)
-    modes = build_field_modes([[x] for x in k])
-    form = polaron_form_factor(grid, modes, ALPHA)
-    disp = build_dispersion(np.ones(k.size))
-    return make_model("polaron", grid, modes, disp, form, "zero", alpha=ALPHA)
-
-
-print(f"alpha = {ALPHA}, continuum minimum -pi^2 alpha^2 / 3 = {EXACT:.10f}")
+print(f"alpha = {alpha}, continuum minimum -pi^2 alpha^2 / 3 = {exact:.10f}")
 print(f"{'G':>5} {'K':>5} {'E':>15} {'E - exact':>11} {'ratio':>6} "
-      f"{'steps':>6}")
+      f"{'steps':>6} {'alt steps':>9} {'E_alt - E':>10}")
 previous = None
 for points in (64, 128, 256, 512):
     spec = soliton_polaron(points)
     res = pekar_minimize(spec)
-    error = res.energy - EXACT
+    alt = alternating_minimize(spec)
+    error = res.energy - exact
     ratio = f"{previous / error:6.2f}" if previous is not None else " " * 6
     print(f"{points:5d} {spec.n_modes:5d} {res.energy:15.10f} {error:11.3e} "
-          f"{ratio} {res.iterations:6d}")
+          f"{ratio} {res.iterations:6d} {alt.iterations:9d} "
+          f"{alt.energy - res.energy:10.1e}")
     previous = error

@@ -28,9 +28,8 @@ from .qc_energy import (ELResiduals, FieldAmplitudes, ParticleOperator,
                         z_to_eta)
 from .pekar import (Density, Gap, PekarEnergy, PekarKernel, SplittingReport,
                     convexity_gap, eta_pekar, eta_pekar_from_density,
-                    eta_pekar_info, fixed_point_eta, kernel_convolve,
-                    one_particle_density, pekar_energy, pekar_kernel,
-                    polaron_splitting)
+                    fixed_point_eta, kernel_convolve, one_particle_density,
+                    pekar_energy, pekar_kernel, polaron_splitting)
 from .coupling import LinearCoupling, MinimalCoupling
 from .minimize import (EquivalenceReport, MinimizeResult, MultiStartResult,
                        PekarMinimizeResult, alternating_minimize,

@@ -16,17 +16,18 @@ eta = omega^(1/2) z (inner products weighted by w):
 
     E(psi, eta) = <K_0>_psi + ||eta||^2 + 2 Re<eta|b_psi> + Re<eta|T_psi eta>.
 
-Each coupling supplies b_vector and t_matrix (T as a real 2K x 2K matrix on
-(Re eta, Im eta)), from which the field minimizer, the Euler-Lagrange field
-vector and the convexity gap are built once, plus one reduced method that
-returns the reduced energy and its gradient together.  ModelSpec.coupling
-picks one from BY_FAMILY once per model.
+Each coupling supplies b_vector, apply_t (T eta) and solve_field (the
+minimizing field, solving (1 + T) eta = -b: eta = -b under linear coupling,
+where T = 0, with no solve), plus one reduced method that returns the
+reduced energy and its gradient together.  ModelSpec.coupling picks one
+from BY_FAMILY once per model.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import SolverError
 from .pekar import eta_pekar, kernel_convolve
 from .qc_energy import (assemble_hz, assemble_k0, coupling_expectation,
                         eta_to_z, hz_pattern)
@@ -50,9 +51,13 @@ class LinearCoupling:
         """b_j = <psi| sum_p lambda_p(x_p;k_j) |psi> / sqrt(omega_j)."""
         return coupling_expectation(spec, psi) / np.sqrt(spec.dispersion.values)
 
-    def t_matrix(self, spec, psi):
-        """T = 0."""
-        return np.zeros((2 * spec.n_modes, 2 * spec.n_modes))
+    def apply_t(self, spec, psi, eta):
+        """T eta = 0."""
+        return np.zeros(spec.n_modes, dtype=complex)
+
+    def solve_field(self, spec, psi):
+        """eta = -b; 0.0 - b keeps a zero component +0.0, never -0.0."""
+        return 0.0 - self.b_vector(spec, psi)
 
     def reduced(self, spec, psi):
         """Reduced energy through the kernel, <K_0> + <rho|V_kernel * rho>,
@@ -108,7 +113,24 @@ class MinimalCoupling:
             b += (e / (2.0 * spec.mass_of(p))) * (_xi_table(spec, p).T @ marg)
         return b
 
-    def t_matrix(self, spec, psi):
+    def apply_t(self, spec, psi, eta):
+        """T eta, through T's real matrix on (Re eta, Im eta)."""
+        t = self._real_t(spec, psi) @ np.concatenate([eta.real, eta.imag])
+        return t[:spec.n_modes] + 1j * t[spec.n_modes:]
+
+    def solve_field(self, spec, psi):
+        """The dense solve of (1 + T) eta = -b on (Re eta, Im eta), refused
+        with SolverError when 1 + T is not finite or its condition > 1e12."""
+        k, b = spec.n_modes, self.b_vector(spec, psi)
+        mat = np.eye(2 * k) + self._real_t(spec, psi)
+        cond = np.linalg.cond(mat) if np.isfinite(mat).all() else np.inf
+        if not np.isfinite(cond) or cond > 1e12:
+            raise SolverError(
+                f"singular field-minimizer system (cond={cond:.3g})")
+        sol = np.linalg.solve(mat, -np.concatenate([b.real, b.imag]))
+        return sol[:k] + 1j * sol[k:]
+
+    def _real_t(self, spec, psi):
         """T as a real 2K x 2K matrix on (Re eta, Im eta):
         sum_p (2e^2/m_p) X_p^T diag(rho_p) X_p W, with X_p = [Re xi_p, Im xi_p]
         on particle p's grid, rho_p its marginal density and W = diag(w, w).

@@ -16,8 +16,8 @@ import numpy as np
 from .errors import (CapacityError, ConsistencyError, ModelAssumptionError,
                      SolverError)
 from .model import ModelSpec, ParticleGrid, mode_norm
-from .qc_energy import (FieldAmplitudes, WaveFunction, apply_field_matrix,
-                        field_eta, mode_source, qc_energy_eta)
+from .qc_energy import (FieldAmplitudes, WaveFunction, field_eta, mode_source,
+                        qc_energy_eta)
 
 PEKAR_AGREE_TOL = 1e-10
 DEFAULT_KERNEL_CAP = 4_000_000  # entries of a materialized kernel
@@ -30,25 +30,11 @@ FIXED_POINT_MAX_ITER = 500
 # ---------------------------------------------------------------------------
 
 def eta_pekar(spec: ModelSpec, psi: WaveFunction) -> FieldAmplitudes:
-    """Unique field minimizer of the energy at fixed psi, in the eta gauge."""
-    eta, _ = eta_pekar_info(spec, psi)
-    return eta
-
-
-def eta_pekar_info(spec: ModelSpec, psi: WaveFunction):
-    """Minimizing field by the direct solve of (1 + T) eta = -b in
-    (Re eta, Im eta), plus the matrix's condition (refused above 1e12)."""
+    """Unique field minimizer of the energy at fixed psi, in the eta gauge:
+    the solution of (1 + T) eta = -b, from the model's coupling."""
     psi.require_normalized()
     spec.dispersion.require_gap("the field reduction")
-    k = spec.n_modes
-    b = spec.coupling.b_vector(spec, psi)
-    mat = np.eye(2 * k) + spec.coupling.t_matrix(spec, psi)
-    cond = float(np.linalg.cond(mat))
-    if not np.isfinite(cond) or cond > 1e12:
-        raise SolverError(f"singular field-minimizer system (cond={cond:.3g})")
-    sol = np.linalg.solve(mat, -np.concatenate([b.real, b.imag]))
-    return field_eta(sol[:k] + 1j * sol[k:]), {"method": "direct",
-                                               "condition": cond}
+    return field_eta(spec.coupling.solve_field(spec, psi))
 
 
 def fixed_point_eta(spec: ModelSpec, psi: WaveFunction,
@@ -58,11 +44,10 @@ def fixed_point_eta(spec: ModelSpec, psi: WaveFunction,
     a cross-check for the direct solve.  Returns (eta, steps taken)."""
     psi.require_normalized()
     b = spec.coupling.b_vector(spec, psi)
-    t = spec.coupling.t_matrix(spec, psi)
     eta = np.zeros(spec.n_modes, dtype=complex) if start is None \
         else np.asarray(start, dtype=complex).copy()
     for it in range(1, FIXED_POINT_MAX_ITER + 1):
-        new = -b - apply_field_matrix(t, eta)
+        new = -b - spec.coupling.apply_t(spec, psi, eta)
         if mode_norm(spec.modes, new - eta) <= FIXED_POINT_TOL:
             return field_eta(new), it
         eta = new
@@ -243,7 +228,7 @@ def convexity_gap(spec: ModelSpec, psi: WaveFunction,
     fm = qc_energy_eta(spec, psi, mix)
     gap = beta * f1 + (1.0 - beta) * f2 - fm
     delta = eta1.values - eta2.values
-    t_delta = apply_field_matrix(spec.coupling.t_matrix(spec, psi), delta)
+    t_delta = spec.coupling.apply_t(spec, psi, delta)
     quad = mode_norm(spec.modes, delta) ** 2 \
         + float(np.sum(spec.modes.weights * np.conj(delta) * t_delta).real)
     return Gap(gap=gap, prediction=beta * (1.0 - beta) * quad)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from .model import (ModelSpec, build_dispersion, build_field_modes,
                     build_particle_grid, frozen_particle_grid, make_model,
                     nelson_form_factor, pauli_fierz_form_factor,
@@ -91,3 +93,22 @@ def two_particle_nelson(points: int = 12) -> ModelSpec:
     disp = build_dispersion([1.0])
     form = nelson_form_factor(grid, modes, [0.4], dispersion=disp)
     return make_model("nelson", grid, modes, disp, form, "harmonic")
+
+
+def soliton_polaron(points: int) -> ModelSpec:
+    """1-d polaron, one particle on a zero potential, extent 8, alpha = 0.3,
+    with K = 4 Lambda + 1 unit-frequency modes on linspace(-Lambda, Lambda),
+    Lambda = 12 points / 64 (mode spacing 0.5).  The trapezoid weights make
+    sum_j w_j cos(k_j r) tend to 2 pi delta(r), so the reduced energy tends
+    to int |psi'|^2 - 2 pi alpha int |psi|^4, whose minimum over unit psi
+    is -pi^2 alpha^2 / 3, attained by the cubic NLS soliton
+    sqrt(kappa / 2) sech(kappa x), kappa = pi alpha."""
+    alpha = 0.3
+    cutoff = 12.0 * points / 64
+    k = np.linspace(-cutoff, cutoff, int(round(4 * cutoff)) + 1)
+    grid = build_particle_grid(1, 1, 8.0, points)
+    modes = build_field_modes([[x] for x in k])
+    form = polaron_form_factor(grid, modes, alpha)
+    disp = build_dispersion(np.ones(k.size))
+    return make_model("polaron", grid, modes, disp, form, "zero",
+                      alpha=alpha)

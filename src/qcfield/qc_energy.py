@@ -345,16 +345,9 @@ def _el_field_vector(spec: ModelSpec, psi: WaveFunction,
     """omega z + sqrt(omega) (b + T eta) at eta = sqrt(omega) z."""
     z.require_gauge("z")
     sq = np.sqrt(spec.dispersion.values)
-    t = spec.coupling.t_matrix(spec, psi)
     return spec.dispersion.values * z.values + sq * (
-        spec.coupling.b_vector(spec, psi) + apply_field_matrix(t, sq * z.values))
-
-
-def apply_field_matrix(mat: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """A real 2K x 2K matrix applied to eta as (Re eta, Im eta)."""
-    k = eta.shape[0]
-    t = mat @ np.concatenate([eta.real, eta.imag])
-    return t[:k] + 1j * t[k:]
+        spec.coupling.b_vector(spec, psi)
+        + spec.coupling.apply_t(spec, psi, sq * z.values))
 
 
 @dataclass(frozen=True)

@@ -2,21 +2,18 @@ import functools
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from qcfield import (alternating_minimize, build_dispersion,
                      build_field_modes, build_particle_grid, make_model,
-                     pauli_fierz_form_factor, pekar_minimize,
-                     polaron_form_factor)
+                     pauli_fierz_form_factor, pekar_minimize)
 from qcfield.presets import (cosine_coupled_reference, decoupled_reference,
                              frozen_minimal_coupling, frozen_mode_reference,
                              small_minimal_coupling, small_nelson,
-                             small_polaron, two_particle_nelson)
-
-from oracles import SOLITON_ALPHA
+                             small_polaron, soliton_polaron,
+                             two_particle_nelson)
 
 
 @pytest.fixture(scope="session")
@@ -89,24 +86,6 @@ def decoupled_pekar(decoupled):
     res = pekar_minimize(decoupled)
     assert res.converged
     return res
-
-
-def soliton_polaron(points):
-    """1-d polaron, one particle, extent 8, zero potential, SOLITON_ALPHA, with
-    K = 4 Lambda + 1 unit-frequency modes on linspace(-Lambda, Lambda),
-    Lambda = 12 points / 64 (mode spacing 0.5).  The trapezoid weights make
-    sum_j w_j cos(k_j r) tend to 2 pi delta(r), so the reduced energy tends
-    to int |psi'|^2 - 2 pi alpha int |psi|^4, whose minimum over unit psi
-    is E_SOLITON = -pi^2 alpha^2 / 3, attained by the cubic NLS soliton
-    sqrt(kappa / 2) sech(kappa x), kappa = pi alpha."""
-    cutoff = 12.0 * points / 64
-    k = np.linspace(-cutoff, cutoff, int(round(4 * cutoff)) + 1)
-    grid = build_particle_grid(1, 1, 8.0, points)
-    modes = build_field_modes([[x] for x in k])
-    form = polaron_form_factor(grid, modes, SOLITON_ALPHA)
-    disp = build_dispersion(np.ones(k.size))
-    return make_model("polaron", grid, modes, disp, form, "zero",
-                      alpha=SOLITON_ALPHA)
 
 
 @pytest.fixture(scope="session")

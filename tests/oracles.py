@@ -14,7 +14,7 @@ E_QC_DECOUPLED = 0.7460783092426536     # E0_HARMONIC_64 - 0.5**2 / 1.0
 E_QC_COSINE = 0.841012934811712         # cosine_scan_oracle()[0], refined
 Z_COSINE = -0.3971942                   # cosine minimizer, real axis
 
-# Continuum limit of the 1-d polaron's reduced minimum (conftest's
+# Continuum limit of the 1-d polaron's reduced minimum (the preset
 # soliton_polaron): the cubic NLS soliton energy -(2 pi alpha)^2 / 12.
 SOLITON_ALPHA = 0.3
 E_SOLITON = -np.pi ** 2 * SOLITON_ALPHA ** 2 / 3

@@ -2,17 +2,18 @@ import numpy as np
 import pytest
 
 from qcfield import (CapacityError, ConsistencyError, FormFactor,
-                     ModelAssumptionError, ModelSpec, WaveFunction,
-                     assemble_k0, build_dispersion, build_field_modes,
-                     build_particle_grid,
+                     ModelAssumptionError, ModelSpec, SolverError,
+                     WaveFunction, assemble_k0, build_dispersion,
+                     build_field_modes, build_particle_grid,
                      convexity_gap, el_residual, eta_pekar,
-                     eta_pekar_from_density, eta_pekar_info, eta_to_z,
-                     field_eta, fixed_point_eta, ground_eigenpair,
-                     kernel_convolve, make_model, mode_norm,
+                     eta_pekar_from_density, eta_to_z,
+                     field_eta, fixed_point_eta, grid_inner, grid_norm,
+                     ground_eigenpair, kernel_convolve, make_model, mode_norm,
                      nelson_form_factor, one_particle_density, pekar_energy,
                      pekar_kernel, polaron_splitting, qc_energy_eta,
                      random_wavefunction)
 from qcfield import pekar
+from qcfield.presets import small_minimal_coupling
 
 from oracles import E0_HARMONIC_64
 
@@ -205,11 +206,20 @@ def test_eta_pekar_from_density_matches_direct(nelson_pair):
     assert np.max(np.abs(direct.values - via_rho.values)) <= 1e-12
 
 
+def _real_t(spec, psi):
+    """T as a real 2K x 2K matrix on (Re eta, Im eta), column by column from
+    apply_t on the unit fields e_j and i e_j."""
+    units = np.eye(spec.n_modes)
+    cols = [spec.coupling.apply_t(spec, psi, u)
+            for u in (*units, *(1j * units))]
+    return np.array([np.concatenate([c.real, c.imag]) for c in cols]).T
+
+
 def test_minimal_coupling_eta_unique(pf_small):
     rng = np.random.default_rng(16)
     psi = random_wavefunction(pf_small.grid, rng)
-    eta, info = eta_pekar_info(pf_small, psi)
-    assert info["condition"] < 1e3
+    eta = eta_pekar(pf_small, psi)
+    assert np.linalg.cond(np.eye(4) + _real_t(pf_small, psi)) < 1e3
     k = pf_small.n_modes
     for _ in range(2):
         start = rng.standard_normal(k) + 1j * rng.standard_normal(k)
@@ -228,8 +238,7 @@ def test_minimizing_field_matches_fixed_point_pair(request, model):
     spec = request.getfixturevalue(model)
     rng = np.random.default_rng(20)
     psi = random_wavefunction(spec.grid, rng)
-    eta, info = eta_pekar_info(spec, psi)
-    assert info["method"] == "direct"
+    eta = eta_pekar(spec, psi)
     k = spec.n_modes
     for _ in range(2):
         start = rng.standard_normal(k) + 1j * rng.standard_normal(k)
@@ -237,6 +246,66 @@ def test_minimizing_field_matches_fixed_point_pair(request, model):
         assert mode_norm(spec.modes, eta.values - eta_fp.values) <= 1e-10
     res = el_residual(spec, psi, eta_to_z(eta, spec.dispersion))
     assert res.field_residual <= 1e-10
+
+
+@pytest.mark.parametrize("model", ["nelson_small", "polaron_small",
+                                   "nelson_pair"])
+def test_linear_field_path_does_no_dense_linear_algebra(request, model,
+                                                        monkeypatch):
+    # T = 0: the minimizing field is -b, with no solve and no condition number
+    spec = request.getfixturevalue(model)
+    rng = np.random.default_rng(22)
+    psi = random_wavefunction(spec.grid, rng)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense linear algebra on the linear field path")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    monkeypatch.setattr(np.linalg, "cond", refuse)
+    eta = eta_pekar(spec, psi)
+    eta_fp, _ = fixed_point_eta(spec, psi)
+    assert np.array_equal(eta.values, eta_fp.values)
+    res = el_residual(spec, psi, eta_to_z(eta, spec.dispersion))
+    assert res.field_residual <= 1e-10
+    k = spec.n_modes
+    e1 = field_eta(rng.standard_normal(k) + 1j * rng.standard_normal(k))
+    g = convexity_gap(spec, psi, e1, eta, 0.3)
+    assert abs(g.gap - g.prediction) <= 1e-10 * abs(g.prediction)
+
+
+@pytest.mark.parametrize("charge", [1e7, np.nan], ids=["cond", "nan"])
+def test_eta_pekar_refuses_singular_field_system(charge):
+    # charge 1e7 puts 1 + T's condition near 3e13; a NaN charge makes every
+    # entry NaN, where numpy's condition number itself would fail
+    spec = small_minimal_coupling(charge=charge)
+    psi = random_wavefunction(spec.grid, np.random.default_rng(23))
+    with pytest.raises(SolverError, match="singular field-minimizer system"):
+        eta_pekar(spec, psi)
+
+
+@pytest.mark.parametrize("model", ["pf_small", "pf_pair", "nelson_small",
+                                   "nelson_pair", "polaron_small"])
+def test_reduced_gradient_matches_central_differences(request, model):
+    # along psi(t) = cos(t) psi + sin(t) v, v a unit tangent at psi, the
+    # reduced energy's slope at t = 0 is 2 Re<v|g>; for minimal coupling g is
+    # H_z psi at the solved field, by the envelope identity
+    spec = request.getfixturevalue(model)
+    grid = spec.grid
+    rng = np.random.default_rng(24)
+    psi = random_wavefunction(grid, rng)
+    v = random_wavefunction(grid, rng).values
+    v = v - grid_inner(grid, psi.values, v) * psi.values
+    v /= grid_norm(grid, v)
+    _, grad = spec.coupling.reduced(spec, psi)
+    slope = 2.0 * grid_inner(grid, v, grad).real
+
+    def energy(t):
+        moved = WaveFunction(np.cos(t) * psi.values + np.sin(t) * v, grid)
+        return spec.coupling.reduced(spec, moved)[0]
+
+    h = 1e-5
+    central = (energy(h) - energy(-h)) / (2.0 * h)
+    assert abs(central - slope) <= 1e-6 * abs(slope)
 
 
 def test_eta_pekar_from_density_refuses_minimal_coupling(pf_small, pf_pair):
