@@ -174,8 +174,8 @@ def ground_energy_eps(h: sp.spmatrix, preconditioner=None,
     h carries no model or basis to build a preconditioner from, so a caller
     that has them solves through ground_state_eps instead.  Given a
     preconditioner (ground_state_eps passes an UncoupledPreconditioner when
-    G <= F), an operator above the dense cutoff that is not banded is solved
-    by the in-house LOBPCG with block size 1; start, when given, replaces
+    G <= F), an operator above the dense cutoff is solved by the in-house
+    LOBPCG with block size 1; start, when given, replaces
     the all-ones start vector on every iterative path.  Every path ends in
     the same residual check, which alone decides convergence.
     """
@@ -205,8 +205,8 @@ class UncoupledPreconditioner:
     U^dag x, a divide by lambda_g + eps sum_j omega_j n_j - sigma, and U
     times the result: two G x G matmuls on a (G, fock dim) array.  dGamma
     >= 0, so every divisor is at least the margin.  Nothing is computed
-    before the first application, so a solver that takes another path (a
-    banded operator) never pays for K_0's eigendecomposition.
+    before the first application, so a solve on the dense path never pays
+    for K_0's eigendecomposition.
     """
 
     spec: ModelSpec
@@ -399,10 +399,11 @@ def epsilon_sweep(spec: ModelSpec, eps_list, e_qc_ref: float,
     uncoupled operator (K_0 (x) 1 + 1 (x) dGamma - sigma)^-1: K_0's dense
     eigendecomposition then costs at most one application, and its G^2
     floats are at most the tensor dimension.  lowest_eigenpair picks the
-    path: wide-band operators with a preconditioner are solved by the
-    in-house block-size-1 LOBPCG, the rest by Lanczos from the same start (a
-    banded operator never builds the preconditioner).  The residual rule is
-    the same on every path.  eps_list must pass check_eps_list.
+    path: operators above the dense cutoff with a preconditioner are solved
+    by the in-house block-size-1 LOBPCG, the rest by Lanczos from the same
+    start (an operator on the dense path never builds the preconditioner).
+    The residual rule is the same on every path.  eps_list must pass
+    check_eps_list.
     """
     eps = check_eps_list(eps_list)
     z_ref.require_gauge("z")

@@ -227,15 +227,15 @@ def lowest_eigenpair(matrix: sp.spmatrix, preconditioner=None,
     fock.ground_energy_eps.
 
     Real arithmetic when every stored entry is real.  Dense eigh of the
-    lowest pair up to DENSE_EIG_CUTOFF.  Above it, with half-bandwidth b,
-    shift-invert Lanczos about a Gershgorin lower bound when b^2 <= n (the
-    LU factor of a banded matrix stays small).  Otherwise the in-house
-    LOBPCG with block size 1 (_lobpcg) when a preconditioner is given: a
-    callable that applies a positive definite approximation of
-    (H - sigma)^-1, sigma below the spectrum, to an (n,) vector and returns
-    a new array.  Without one, plain Lanczos on the smallest algebraic end.
+    lowest pair up to DENSE_EIG_CUTOFF.  Above it, the in-house LOBPCG with
+    block size 1 (_lobpcg) whenever a preconditioner is given: a callable
+    that applies a positive definite approximation of (H - sigma)^-1,
+    sigma below the spectrum, to an (n,) vector and returns a new array.
+    Without one, with half-bandwidth b, shift-invert Lanczos about a
+    Gershgorin lower bound when b^2 <= n (the LU factor of a banded matrix
+    stays small), plain Lanczos on the smallest algebraic end otherwise.
     The preconditioner is applied on the LOBPCG path alone, so a lazily
-    built one costs nothing on the others.  Every iterative path starts
+    built one costs nothing on the dense path.  Every iterative path starts
     from start, by default the normalized all-ones vector, so the result is
     deterministic.  The residual ||H v - e v|| is checked on the matrix as
     given, against EIG_RESIDUAL_TOL * max(1, ||H||_G / RESIDUAL_NORM_SCALE)
@@ -256,12 +256,11 @@ def lowest_eigenpair(matrix: sp.spmatrix, preconditioner=None,
     else:
         x0 = np.ones(n) if start is None else start
         x0 = x0 / np.linalg.norm(x0)
-        banded = _half_bandwidth(work) ** 2 <= n
-        if preconditioner is not None and not banded:
+        if preconditioner is not None:
             bound = _residual_bound(mat)
             e0, v0 = _lobpcg(work, x0, preconditioner, 0.5 * bound)
         else:
-            vals, vecs = _lanczos(work, x0, banded)
+            vals, vecs = _lanczos(work, x0, _half_bandwidth(work) ** 2 <= n)
             e0, v0 = float(vals[0]), vecs[:, 0]
     residual = float(np.linalg.norm(mat @ v0 - e0 * v0))
     # the scaled bound is never below EIG_RESIDUAL_TOL: computed only above it
@@ -271,20 +270,72 @@ def lowest_eigenpair(matrix: sp.spmatrix, preconditioner=None,
     return e0, _fix_phase(v0)
 
 
-def ground_eigenpair(op: ParticleOperator):
+def ground_eigenpair(op: ParticleOperator, preconditioner=None,
+                     start: np.ndarray | None = None):
     """Smallest eigenvalue and normalized eigenvector of a Hermitian operator.
 
     The constant offset is not added to the returned eigenvalue.  The solve
-    is lowest_eigenpair's; deterministic on every path.
+    is lowest_eigenpair's, with its preconditioner and start; deterministic
+    on every path.  Called with op alone it takes the unpreconditioned
+    paths; the solves of a model's H_z go through _particle_ground.
     """
-    e0, v0 = lowest_eigenpair(op.matrix)
+    e0, v0 = lowest_eigenpair(op.matrix, preconditioner, start)
     return e0, WaveFunction.normalized(v0, op.grid)
 
 
+def _k0_ground(spec: ModelSpec):
+    """K_0's ground pair (lambda_0, psi_0) by a bare ground_eigenpair,
+    memoised on the spec beside assemble_k0's K_0; psi_0's values are
+    read-only."""
+    ground = spec.__dict__.get("_k0_ground")
+    if ground is None:
+        lam0, psi0 = ground_eigenpair(assemble_k0(spec))
+        psi0.values.flags.writeable = False
+        ground = spec.__dict__["_k0_ground"] = (lam0, psi0)
+    return ground
+
+
+def _k0_factor(spec: ModelSpec):
+    """Sparse LU of the real K_0 - sigma, sigma = lambda_0 -
+    PRECONDITIONER_MARGIN, memoised on the spec as _k0_ground is; only its
+    solve is called, which leaves it unchanged.  A failed factorization
+    raises SolverError and memoises nothing."""
+    lu = spec.__dict__.get("_k0_factor")
+    if lu is None:
+        sigma = _k0_ground(spec)[0] - PRECONDITIONER_MARGIN
+        lu = spec.__dict__["_k0_factor"] = _shift_invert(
+            assemble_k0(spec).matrix.real, sigma)
+    return lu
+
+
+def _particle_ground(spec: ModelSpec, op: ParticleOperator,
+                     start: WaveFunction | None = None):
+    """ground_eigenpair of an operator on spec's grid (H_z or K_0).
+
+    Above DENSE_EIG_CUTOFF it is LOBPCG preconditioned by (K_0 - sigma)^-1,
+    applied through the model's one _k0_factor, from start, by default
+    K_0's ground state psi_0.  (K_0 - sigma)^-1 takes the Laplacian's 1/h^2
+    spread out of the residual, so the step count does not grow as the
+    grid is refined, and a warm start near the ground state needs few.
+    """
+    if op.dim <= DENSE_EIG_CUTOFF:
+        return ground_eigenpair(op)
+    lu = _k0_factor(spec)
+
+    def precondition(r):  # the factor is real; r may be complex
+        if np.iscomplexobj(r):
+            return lu.solve(r.real) + 1j * lu.solve(r.imag)
+        return lu.solve(r)
+
+    start = _k0_ground(spec)[1] if start is None else start
+    return ground_eigenpair(op, precondition, start.values)
+
+
 def best_particle_energy(spec: ModelSpec, z: FieldAmplitudes) -> float:
-    """Lowest coupled energy at a fixed field: min over psi of <psi|H_z|psi>."""
+    """Lowest coupled energy at a fixed field: min over psi of <psi|H_z|psi>,
+    by _particle_ground from K_0's ground state."""
     op = assemble_hz(spec, z)
-    e0, _ = ground_eigenpair(op)
+    e0, _ = _particle_ground(spec, op)
     return e0 + op.constant_offset
 
 
@@ -325,7 +376,10 @@ def alternating_minimize(spec: ModelSpec,
     stationarity residuals below tol_residual; the energy stalls before the
     residuals do in flat valleys, so both are checked.  The start is the field
     init_eta, else eta_pekar of a random psi drawn from seed, else zero; a
-    given psi's start is init_eta=eta_pekar(spec, psi).
+    given psi's start is init_eta=eta_pekar(spec, psi).  Each psi-step is
+    _particle_ground's solve from the previous step's psi, the first from
+    K_0's ground state: above DENSE_EIG_CUTOFF every step applies the
+    model's one memoised K_0 factor and factors nothing.
     """
     spec.dispersion.require_gap("alternating minimization")
     if max_iter < 1:
@@ -345,8 +399,9 @@ def alternating_minimize(spec: ModelSpec,
     converged = False
     z = eta_to_z(eta, spec.dispersion)
     op = assemble_hz(spec, z)  # H_z at the current field, built once per field
+    psi = None  # the first psi-step starts from K_0's ground state
     for it in range(1, max_iter + 1):
-        e0, psi = ground_eigenpair(op)
+        e0, psi = _particle_ground(spec, op, psi)
         e_psi_step = e0 + op.constant_offset
         trace.append(e_psi_step)
 
@@ -456,21 +511,23 @@ def pekar_minimize(spec: ModelSpec,
     d = Mg - (Re<psi|Mg> / Re<psi|M psi>) M psi.  tau is the Barzilai-Borwein
     ratio <s|s> / Re<s|d_new - d> clamped to [1e-6, 1e3], halved while the
     energy rises.  M takes the Laplacian's 1/h^2 spread out of g, so the
-    step count does not grow as the grid is refined.  M is one sparse LU of
-    the real K_0 (SolverError if it fails), built only when the start is not
-    stationary and freed on return.  Under linear coupling the loop solves
-    no field and no eigenproblem.  iterations counts the steps taken.
+    step count does not grow as the grid is refined.  The start psi_0 and
+    M's sparse LU of the real K_0 are the model's memoised _k0_ground and
+    _k0_factor, which _particle_ground shares: once they are built a call
+    runs no eigensolve and factors nothing.  The factor (SolverError if it
+    fails) is first needed only when the start is not stationary.  Under
+    linear coupling the loop solves no field and no eigenproblem.
+    iterations counts the steps taken.
     """
     grid = spec.grid
     reduced = spec.coupling.reduced
-    k0 = assemble_k0(spec)
-    lam0, psi = ground_eigenpair(k0)
+    _, psi = _k0_ground(spec)
     energy, grad = reduced(spec, psi)
     trace = [energy]
     grad_norm = _tangent_norm(grid, psi, grad)
     iterations = 0
     if grad_norm > PEKAR_TOL_GRAD:
-        lu = _shift_invert(k0.matrix.real, lam0 - PRECONDITIONER_MARGIN)
+        lu = _k0_factor(spec)
         direction = _preconditioned_direction(lu, psi, grad)
         step = 1.0
         while iterations < max_iter and grad_norm > PEKAR_TOL_GRAD:

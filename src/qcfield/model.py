@@ -350,6 +350,8 @@ class ModelSpec:
         if self.external_potential.shape != (self.grid.total_points,):
             raise ValueError("external potential must be tabulated on the "
                              "full N-particle grid")
+        if not np.all(np.isfinite(self.external_potential)):
+            raise ValueError("external potential must be finite")
         if np.any(self.external_potential < 0):
             raise ModelAssumptionError("external potential must be >= 0")
         if self.dispersion.values.shape != (self.modes.count,):
@@ -364,16 +366,18 @@ class ModelSpec:
         if self.family == "polaron":
             if not np.allclose(self.dispersion.values, 1.0):
                 raise ModelAssumptionError("polaron family forces dispersion == 1")
-            if self.alpha <= 0:
-                raise ValueError("polaron family needs alpha > 0")
+            if not 0 < self.alpha < np.inf:  # NaN fails both
+                raise ValueError("alpha must be positive and finite")
         if self.family == "pauli_fierz":
             if self.grid.dim != 1:
                 raise ModelAssumptionError(
                     "minimal coupling is implemented for d = 1 only")
             if len(self.masses) != self.grid.n_particles:
                 raise ValueError("pauli_fierz needs one mass per particle")
-            if any(m <= 0 for m in self.masses):
-                raise ValueError("masses must be positive")
+            if not all(0 < m < np.inf for m in self.masses):
+                raise ValueError("masses must be positive and finite")
+            if not np.isfinite(self.charge):
+                raise ValueError("charge must be finite")
             self.dispersion.require_gap("the minimal-coupling family")
 
     @property

@@ -258,6 +258,10 @@ def _masses_on_nelson(doc):
     doc["masses"] = [7.0]
 
 
+def _nan_charge(doc):
+    doc["charge"] = float("nan")
+
+
 def _charge_on_polaron(doc):
     doc["charge"] = 0.5
 
@@ -304,6 +308,7 @@ def _alpha_on_pauli_fierz(doc):
      "ValueError: nelson family takes no masses"),
     ("polaron_small", _charge_on_polaron,
      "ValueError: polaron family takes no charge"),
+    ("pf_small", _nan_charge, "ValueError: charge must be finite"),
     ("pf_pair", _alpha_on_pauli_fierz,
      "ValueError: pauli_fierz family takes no alpha")])
 def test_model_load_failure_writes_results(tmp_path, request, capsys, model,

@@ -11,6 +11,7 @@ from qcfield import (ParticleOperator, SolverError, alternating_minimize,
 from qcfield import minimize
 from qcfield.minimize import minimizer_distance
 from qcfield.model import resolve_potential
+from qcfield.presets import cosine_coupled_reference
 
 from oracles import E0_HARMONIC_64, E_QC_COSINE, E_QC_DECOUPLED, E_SOLITON
 
@@ -174,8 +175,11 @@ def test_pekar_minimize_stationary_start_takes_no_step(decoupled_pekar):
     assert len(decoupled_pekar.energy_trace) == 1
 
 
-def test_pekar_minimize_failed_factor_raises_solver_error(cosine,
-                                                          monkeypatch):
+def test_pekar_minimize_failed_factor_raises_solver_error(monkeypatch):
+    # a model of its own: the session's cosine model may already hold the
+    # factor that an earlier test built, and then splu is never called
+    cosine = cosine_coupled_reference()
+
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 

@@ -152,8 +152,9 @@ def _family_model(family, **extra):
            "pauli_fierz": (pauli_fierz_form_factor(grid, modes, [[0.3]]),
                            dict(masses=[1.0], charge=0.3))}
     form, kwargs = own[family]
+    kwargs = {"external_potential": "harmonic", **kwargs, **extra}
     return make_model(family, grid, modes, build_dispersion([1.0]), form,
-                      "harmonic", **kwargs, **extra)
+                      **kwargs)
 
 
 @pytest.mark.parametrize("family, extra", [
@@ -202,6 +203,28 @@ def test_json_round_trip(tmp_path, pf_pair):
     loaded = load_model(path)
     assert loaded.grid.points_per_axis == 64
     assert mode_norm(loaded.modes, loaded.form_factor.tables[0][0]) == 0.5
+
+
+@pytest.mark.parametrize("family, extra, message", [
+    ("polaron", dict(alpha=np.nan), "alpha must be positive and finite"),
+    ("polaron", dict(alpha=np.inf), "alpha must be positive and finite"),
+    ("pauli_fierz", dict(charge=np.nan), "charge must be finite"),
+    ("pauli_fierz", dict(charge=-np.inf), "charge must be finite"),
+    ("pauli_fierz", dict(masses=[np.nan]),
+     "masses must be positive and finite"),
+    ("pauli_fierz", dict(masses=[np.inf]),
+     "masses must be positive and finite"),
+    ("nelson", dict(external_potential=np.where(np.arange(16) == 3, np.nan,
+                                                1.0)),
+     "external potential must be finite"),
+    ("nelson", dict(external_potential=np.where(np.arange(16) == 3, np.inf,
+                                                1.0)),
+     "external potential must be finite")])
+def test_non_finite_model_value_refused(family, extra, message):
+    """make_model refuses a NaN or infinite alpha, charge, mass or
+    potential entry by name: each comparison with 0 is false for NaN."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _family_model(family, **extra)
 
 
 def test_trapezoid_default_weights():

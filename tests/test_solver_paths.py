@@ -1,10 +1,14 @@
 """The ground solver on each of its paths, against independent answers.
 
-Small operators take the dense path; above the cutoff a banded operator
+Small operators take the dense path.  Above the cutoff an operator takes
+LOBPCG whenever a preconditioner is given; without one a banded operator
 (half-bandwidth b with b^2 <= n) takes shift-invert Lanczos and a wide-band
-one plain Lanczos, or LOBPCG when a preconditioner is given.  Each test
-calls a public wrapper (ground_eigenpair or ground_energy_eps) and records
-which path ran.
+one plain Lanczos.  Each path test calls a public wrapper (ground_eigenpair
+or ground_energy_eps) on a bare operator and records which path ran.  The
+particle solves of a model (alternating_minimize, pekar_minimize) take
+LOBPCG above the cutoff, preconditioned by the model's one memoised K_0
+factor and warm-started; the last tests count those factors and check the
+warm-started steps against bare solves.
 """
 
 import warnings
@@ -13,15 +17,17 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from qcfield import (SolverError, assemble_h_eps, assemble_hz, assemble_k0,
-                     box_ground_energy, build_dispersion, build_field_modes,
-                     build_fock_basis, build_particle_grid, dgamma, field_z,
+from qcfield import (SolverError, alternating_minimize, assemble_h_eps,
+                     assemble_hz, assemble_k0, box_ground_energy,
+                     build_dispersion, build_field_modes, build_fock_basis,
+                     build_particle_grid, dgamma, field_z,
                      frozen_particle_grid, ground_eigenpair, ground_energy_eps,
-                     make_model, nelson_form_factor)
+                     make_model, multi_start, nelson_form_factor,
+                     pekar_minimize)
 from qcfield import fock, minimize
 from qcfield.fock import UncoupledPreconditioner
 from qcfield.presets import (decoupled_reference, small_minimal_coupling,
-                             small_polaron)
+                             small_polaron, two_particle_nelson)
 
 
 @pytest.fixture
@@ -65,25 +71,34 @@ def dense_k0():
     return assemble_k0(decoupled_reference())
 
 
-@pytest.fixture(scope="module")
-def box_2048():
-    """Zero-potential K_0 on a 1-d grid of 2048 points: real, b = 1."""
+def _box_model():
+    """Uncoupled nelson model with zero potential on a 1-d grid of 2048
+    points."""
     grid = build_particle_grid(1, 1, 8.0, 2048)
     modes = build_field_modes([[0.0]], weights=[1.0])
     ff = nelson_form_factor(grid, modes, [0.0])
-    spec = make_model("nelson", grid, modes, build_dispersion([1.0]), ff,
+    return make_model("nelson", grid, modes, build_dispersion([1.0]), ff,
                       "zero")
-    return assemble_k0(spec)
+
+
+@pytest.fixture(scope="module")
+def box_2048():
+    """Zero-potential K_0 on a 1-d grid of 2048 points: real, b = 1."""
+    return assemble_k0(_box_model())
+
+
+def _one_mode_nelson(points, dim=1, momentum=(1.0,)):
+    """One-mode nelson model in a harmonic trap, G points per axis."""
+    grid = build_particle_grid(dim, 1, 8.0, points)
+    modes = build_field_modes([list(momentum)], weights=[1.0])
+    disp = build_dispersion([1.0])
+    return make_model("nelson", grid, modes, disp,
+                      nelson_form_factor(grid, modes, [0.5], dispersion=disp),
+                      "harmonic")
 
 
 def _one_mode_nelson_hz(points):
-    grid = build_particle_grid(1, 1, 8.0, points)
-    modes = build_field_modes([[1.0]], weights=[1.0])
-    disp = build_dispersion([1.0])
-    spec = make_model("nelson", grid, modes, disp,
-                      nelson_form_factor(grid, modes, [0.5], dispersion=disp),
-                      "harmonic")
-    return assemble_hz(spec, field_z([0.3]))
+    return assemble_hz(_one_mode_nelson(points), field_z([0.3]))
 
 
 @pytest.fixture(scope="module")
@@ -296,3 +311,89 @@ def test_failed_factorization_raises_solver_error(box_2048, monkeypatch):
     monkeypatch.setattr(minimize.spla, "splu", singular)
     with pytest.raises(SolverError, match="factorization"):
         ground_eigenpair(box_2048)
+
+
+def _singular(*args, **kwargs):
+    raise RuntimeError("Factor is exactly singular")
+
+
+def test_one_factor_per_model(monkeypatch):
+    """multi_start and pekar_minimize on the 1-d G = 2048 one-mode nelson
+    model factor at most twice: the transient shift-invert factor of K_0's
+    ground solve and the kept factor of K_0 - sigma.  Once those are built,
+    pekar_minimize factors nothing and runs no eigensolve."""
+    spec = _one_mode_nelson(2048)
+    factors, solves = [], []
+    splu, lowest = minimize.spla.splu, minimize.lowest_eigenpair
+
+    def spy_splu(a, *args, **kwargs):
+        factors.append(a.shape)
+        return splu(a, *args, **kwargs)
+
+    def spy_lowest(*args, **kwargs):
+        solves.append(args[0].shape)
+        return lowest(*args, **kwargs)
+
+    monkeypatch.setattr(minimize.spla, "splu", spy_splu)
+    monkeypatch.setattr(minimize, "lowest_eigenpair", spy_lowest)
+    ms = multi_start(spec, n_starts=3)
+    assert all(r.converged for r in ms.results)
+    assert len(factors) <= 2
+    built = (len(factors), len(solves))
+    assert pekar_minimize(spec).converged
+    assert (len(factors), len(solves)) == built
+
+
+def test_failed_kept_factor_is_not_memoised(monkeypatch):
+    """A kept factor that fails raises SolverError on every call that needs
+    it, and the model solves once splu works again."""
+    spec = _one_mode_nelson(2048)
+    minimize._k0_ground(spec)  # K_0's ground pair, before splu fails
+    monkeypatch.setattr(minimize.spla, "splu", _singular)
+    for solve in (alternating_minimize, alternating_minimize, pekar_minimize):
+        with pytest.raises(SolverError, match="factorization"):
+            solve(spec)
+    monkeypatch.undo()
+    assert alternating_minimize(spec).converged
+    assert pekar_minimize(spec).converged
+
+
+WARM_MODELS = {
+    "box_2048": _box_model,
+    "grid2d_G64": lambda: _one_mode_nelson(64, dim=2, momentum=(1.0, 0.0)),
+    "two_particles_G64": lambda: two_particle_nelson(points=64),
+    "minimal_1200": lambda: small_minimal_coupling(points=1200),
+}
+
+
+@pytest.mark.parametrize("model", sorted(WARM_MODELS))
+def test_warm_started_steps_land_on_ground_state(model, monkeypatch):
+    """Every psi-step of alternating_minimize is a preconditioned solve
+    from the previous psi; its energy agrees within 1e-10 with a bare
+    ground_eigenpair of the same H_z.  Reruns, on the same model and on a
+    fresh one, are bit-identical."""
+    spec = WARM_MODELS[model]()
+    steps = []
+    ground = minimize.ground_eigenpair
+
+    def spy(op, preconditioner=None, start=None):
+        e0, psi = ground(op, preconditioner, start)
+        if preconditioner is not None:
+            steps.append((op, e0, ground(op)[0]))
+        return e0, psi
+
+    monkeypatch.setattr(minimize, "ground_eigenpair", spy)
+    first = alternating_minimize(spec, seed=3)
+    monkeypatch.undo()
+    assert first.converged
+    assert len(steps) == first.iterations
+    for _, warm, bare in steps:
+        assert abs(warm - bare) <= 1e-10
+    if model == "minimal_1200":
+        assert any(np.any(op.matrix.data.imag) for op, _, _ in steps)
+    for again in (alternating_minimize(spec, seed=3),
+                  alternating_minimize(WARM_MODELS[model](), seed=3)):
+        assert again.energy == first.energy
+        assert np.array_equal(again.energy_trace, first.energy_trace)
+        assert np.array_equal(again.psi_star.values, first.psi_star.values)
+        assert np.array_equal(again.eta_star.values, first.eta_star.values)
