@@ -25,7 +25,8 @@ import scipy.sparse as sp
 from scipy.special import gammainc, gammaln
 
 from .errors import CapacityError, TruncationError
-from .minimize import PRECONDITIONER_MARGIN, lowest_eigenpair
+from .minimize import (DENSE_EIG_CUTOFF, PRECONDITIONER_MARGIN,
+                       _k0_preconditioner, lowest_eigenpair)
 from .model import ModelSpec, mode_norm
 from .qc_energy import (FieldAmplitudes, WaveFunction, assemble_k0,
                         momentum_matrix, qc_energy)
@@ -170,14 +171,13 @@ def ground_energy_eps(h: sp.spmatrix, preconditioner=None,
     """Lowest eigenvalue of the quantized Hamiltonian, with its eigenvector
     (minimize.lowest_eigenpair's solve, deterministic on every path).
 
-    Called with h alone it takes lowest_eigenpair's unpreconditioned paths:
-    h carries no model or basis to build a preconditioner from, so a caller
-    that has them solves through ground_state_eps instead.  Given a
-    preconditioner (ground_state_eps passes an UncoupledPreconditioner when
-    G <= F), an operator above the dense cutoff is solved by the in-house
-    LOBPCG with block size 1; start, when given, replaces
-    the all-ones start vector on every iterative path.  Every path ends in
-    the same residual check, which alone decides convergence.
+    Above the dense cutoff the solve is the in-house LOBPCG with block size
+    1, preconditioned by preconditioner, from start when given, else from
+    the all-ones vector.  Called with h alone, LOBPCG is preconditioned by
+    a sparse LU of the whole of h - sigma: h carries no model or basis to
+    build a cheaper preconditioner from, so a caller that has them solves
+    through ground_state_eps instead.  Every path ends in the same residual
+    check, which alone decides convergence.
     """
     return lowest_eigenpair(h, preconditioner, start)
 
@@ -204,7 +204,8 @@ class UncoupledPreconditioner:
     In K_0's eigenbasis U the operator is diagonal, so one application is
     U^dag x, a divide by lambda_g + eps sum_j omega_j n_j - sigma, and U
     times the result: two G x G matmuls on a (G, fock dim) array.  dGamma
-    >= 0, so every divisor is at least the margin.  Nothing is computed
+    >= 0, so every divisor is at least the margin.  ground_state_eps
+    passes it when G <= max(F, DENSE_EIG_CUTOFF).  Nothing is computed
     before the first application, so a solve on the dense path never pays
     for K_0's eigendecomposition.
     """
@@ -233,16 +234,21 @@ def ground_state_eps(spec: ModelSpec, basis: FockBasis, epsilon: float,
                      start: np.ndarray | None = None):
     """Ground (energy, vector) of the quantized model at one eps: assembles
     H_eps on the grid x basis space and solves it with ground_energy_eps
-    from start (all-ones by default).
+    from start (all-ones by default), always with a preconditioner.
 
-    When the grid has no more points than the basis has states (G <= F),
-    the solve is handed an UncoupledPreconditioner: K_0's dense eigh (G^3
-    flops, G^2 floats) then costs at most one application (2 G^2 F); with
-    fewer Fock states plain Lanczos on the small operator is faster.
+    When the grid has G <= max(F, DENSE_EIG_CUTOFF) points for F basis
+    states, that is an UncoupledPreconditioner: K_0's dense eigh (G^3
+    flops, G^2 floats) then costs at most one application (2 G^2 F) or is
+    small.  On a larger grid it is the model's memoised K_0 factor,
+    (K_0 - sigma)^-1 applied to each of the F columns of the grid-major
+    (G, F) vector (minimize._k0_preconditioner), which factors nothing
+    once the model's particle solves have built it.
     """
     h = assemble_h_eps(spec, basis, epsilon)
-    precond = (UncoupledPreconditioner(spec, basis, epsilon)
-               if spec.grid.total_points <= basis.dim else None)
+    if spec.grid.total_points <= max(basis.dim, DENSE_EIG_CUTOFF):
+        precond = UncoupledPreconditioner(spec, basis, epsilon)
+    else:
+        precond = _k0_preconditioner(spec)
     return ground_energy_eps(h, preconditioner=precond, start=start)
 
 
@@ -393,17 +399,10 @@ def epsilon_sweep(spec: ModelSpec, eps_list, e_qc_ref: float,
     Every point's tensor dimension G * C(K + n_max, K) is checked against
     DEFAULT_DIMENSION_CAP before the first point is solved.  Each point is
     solved by ground_state_eps from the previous point's ground vector
-    padded with zeros (the first point from the all-ones vector).  When the
-    grid has no more points than the Fock basis has states (G <= F), that
-    solve is handed an UncoupledPreconditioner, the exact inverse of the
-    uncoupled operator (K_0 (x) 1 + 1 (x) dGamma - sigma)^-1: K_0's dense
-    eigendecomposition then costs at most one application, and its G^2
-    floats are at most the tensor dimension.  lowest_eigenpair picks the
-    path: operators above the dense cutoff with a preconditioner are solved
-    by the in-house block-size-1 LOBPCG, the rest by Lanczos from the same
-    start (an operator on the dense path never builds the preconditioner).
-    The residual rule is the same on every path.  eps_list must pass
-    check_eps_list.
+    padded with zeros (the first point from the all-ones vector); above
+    the dense cutoff that is LOBPCG with ground_state_eps's preconditioner,
+    so on a grid with G > max(F, DENSE_EIG_CUTOFF) the sweep applies the
+    model's memoised K_0 factor.  eps_list must pass check_eps_list.
     """
     eps = check_eps_list(eps_list)
     z_ref.require_gauge("z")

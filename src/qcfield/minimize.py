@@ -47,17 +47,6 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
     return vec / phase
 
 
-def _half_bandwidth(mat: sp.csr_matrix) -> int:
-    """Largest |i - j| over the stored entries (i, j) of a CSR matrix."""
-    rows = np.flatnonzero(np.diff(mat.indptr))
-    if rows.size == 0:
-        return 0
-    starts = mat.indptr[rows]
-    lo = np.minimum.reduceat(mat.indices, starts)
-    hi = np.maximum.reduceat(mat.indices, starts)
-    return int(max(np.max(rows - lo), np.max(hi - rows)))
-
-
 def _gershgorin_interval(mat: sp.csr_matrix) -> tuple[float, float]:
     """Gershgorin bounds (lower, upper) on the spectrum of a Hermitian matrix."""
     diag = mat.diagonal().real
@@ -65,21 +54,21 @@ def _gershgorin_interval(mat: sp.csr_matrix) -> tuple[float, float]:
     return float(np.min(diag - radius)), float(np.max(diag + radius))
 
 
-def _shift_below_spectrum(mat: sp.csr_matrix) -> float:
-    """A Gershgorin lower bound on the spectrum, pushed strictly below it.
+def _shift_below_spectrum(lower: float, upper: float) -> float:
+    """The Gershgorin lower bound of the interval (lower, upper), pushed
+    strictly below it.
 
     The push keeps the shifted matrix nonsingular where the bound is attained
     (a diagonal matrix), yet is small against the spectral spread, so the
     lowest eigenvalue stays well separated from the rest after inversion.
     """
-    lower, upper = _gershgorin_interval(mat)
     return lower - 1e-6 * max(upper - lower, abs(lower), 1.0)
 
 
-def _residual_bound(mat: sp.csr_matrix) -> float:
+def _residual_bound(lower: float, upper: float) -> float:
     """EIG_RESIDUAL_TOL * max(1, ||H||_G / RESIDUAL_NORM_SCALE), ||H||_G the
-    larger end (in magnitude) of the Gershgorin interval."""
-    norm = max(abs(b) for b in _gershgorin_interval(mat))
+    larger end (in magnitude) of the Gershgorin interval (lower, upper)."""
+    norm = max(abs(lower), abs(upper))
     return EIG_RESIDUAL_TOL * max(1.0, norm / RESIDUAL_NORM_SCALE)
 
 
@@ -91,23 +80,6 @@ def _shift_invert(mat: sp.csr_matrix, sigma: float):
         return spla.splu(shifted, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise SolverError(f"shift-invert factorization failed: {exc}") from exc
-
-
-def _lanczos(work: sp.csr_matrix, start: np.ndarray, banded: bool):
-    """ARPACK's lowest pair from start: shift-invert about a Gershgorin lower
-    bound when banded, the smallest algebraic end otherwise."""
-    n = work.shape[0]
-    kwargs = dict(k=1, v0=start, maxiter=50 * n)
-    if banded:
-        sigma = _shift_below_spectrum(work)
-        kwargs.update(sigma=sigma, which="LM", OPinv=spla.LinearOperator(
-            (n, n), matvec=_shift_invert(work, sigma).solve, dtype=work.dtype))
-    else:
-        kwargs.update(which="SA")
-    try:
-        return spla.eigsh(work, **kwargs)
-    except spla.ArpackNoConvergence as exc:
-        raise SolverError(f"eigensolver did not converge: {exc}") from exc
 
 
 def _ritz(h: np.ndarray, g: np.ndarray):
@@ -228,44 +200,45 @@ def lowest_eigenpair(matrix: sp.spmatrix, preconditioner=None,
 
     Real arithmetic when every stored entry is real.  Dense eigh of the
     lowest pair up to DENSE_EIG_CUTOFF.  Above it, the in-house LOBPCG with
-    block size 1 (_lobpcg) whenever a preconditioner is given: a callable
-    that applies a positive definite approximation of (H - sigma)^-1,
-    sigma below the spectrum, to an (n,) vector and returns a new array.
-    Without one, with half-bandwidth b, shift-invert Lanczos about a
-    Gershgorin lower bound when b^2 <= n (the LU factor of a banded matrix
-    stays small), plain Lanczos on the smallest algebraic end otherwise.
-    The preconditioner is applied on the LOBPCG path alone, so a lazily
-    built one costs nothing on the dense path.  Every iterative path starts
-    from start, by default the normalized all-ones vector, so the result is
-    deterministic.  The residual ||H v - e v|| is checked on the matrix as
-    given, against EIG_RESIDUAL_TOL * max(1, ||H||_G / RESIDUAL_NORM_SCALE)
-    with ||H||_G the larger end of the Gershgorin interval: round-off in H v
-    grows with ||H||.  The bound is computed at most once per solve.  LOBPCG
-    stops at half that bound or after LOBPCG_MAXITER steps, and emits no
-    warnings; the residual check alone decides whether a solve converged.
-    Solver breakdowns (ARPACK's non-convergence, a failed LU, a LOBPCG
-    breakdown) raise SolverError.
+    block size 1 (_lobpcg) from start, by default the normalized all-ones
+    vector, so the result is deterministic.  The preconditioner is a
+    callable that applies a positive definite approximation of
+    (H - sigma)^-1, sigma below the spectrum, to an (n,) vector and returns
+    a new array; it is applied on the LOBPCG path alone, so a lazily built
+    one costs nothing on the dense path.  Without one the solve builds its
+    own: the sparse LU of H - sigma_G, sigma_G just below the Gershgorin
+    interval, which costs a factor of the whole operator (small when H is
+    banded, large when its band is wide); a complex start on a real H is
+    solved by real and imaginary part.  The residual ||H v - e v|| is
+    checked on the matrix as given, against EIG_RESIDUAL_TOL * max(1,
+    ||H||_G / RESIDUAL_NORM_SCALE) with ||H||_G the larger end of the
+    Gershgorin interval: round-off in H v grows with ||H||.  The interval
+    is computed at most once per solve.  LOBPCG stops at half that bound or
+    after LOBPCG_MAXITER steps, and emits no warnings; the residual check
+    alone decides whether a solve converged.  Solver breakdowns (a failed
+    LU, a LOBPCG breakdown) raise SolverError.
     """
     mat = matrix.tocsr()
     n = mat.shape[0]
-    work = mat.real if not np.any(mat.data.imag) else mat
-    bound = None  # computed at most once: it copies abs(mat)
+    real = not np.any(mat.data.imag)
+    work = mat.real if real else mat
+    interval = None  # computed at most once: it copies abs(mat)
     if n <= DENSE_EIG_CUTOFF:
         vals, vecs = scipy.linalg.eigh(work.toarray(), subset_by_index=[0, 0])
         e0, v0 = float(vals[0]), vecs[:, 0]
     else:
+        interval = _gershgorin_interval(work)
+        if preconditioner is None:
+            lu = _shift_invert(work, _shift_below_spectrum(*interval))
+            preconditioner = _real_factor_solve(lu, n) if real else lu.solve
         x0 = np.ones(n) if start is None else start
         x0 = x0 / np.linalg.norm(x0)
-        if preconditioner is not None:
-            bound = _residual_bound(mat)
-            e0, v0 = _lobpcg(work, x0, preconditioner, 0.5 * bound)
-        else:
-            vals, vecs = _lanczos(work, x0, _half_bandwidth(work) ** 2 <= n)
-            e0, v0 = float(vals[0]), vecs[:, 0]
+        e0, v0 = _lobpcg(work, x0, preconditioner,
+                         0.5 * _residual_bound(*interval))
     residual = float(np.linalg.norm(mat @ v0 - e0 * v0))
     # the scaled bound is never below EIG_RESIDUAL_TOL: computed only above it
-    if residual > EIG_RESIDUAL_TOL \
-            and residual > (bound or _residual_bound(mat)):
+    if residual > EIG_RESIDUAL_TOL and residual > _residual_bound(
+            *(interval or _gershgorin_interval(mat))):
         raise SolverError("ground eigenpair residual too large", residual)
     return e0, _fix_phase(v0)
 
@@ -276,8 +249,9 @@ def ground_eigenpair(op: ParticleOperator, preconditioner=None,
 
     The constant offset is not added to the returned eigenvalue.  The solve
     is lowest_eigenpair's, with its preconditioner and start; deterministic
-    on every path.  Called with op alone it takes the unpreconditioned
-    paths; the solves of a model's H_z go through _particle_ground.
+    on every path.  Called with op alone, LOBPCG factors op's own matrix;
+    the solves of a model's H_z go through _particle_ground, which passes
+    the model's one K_0 factor.
     """
     e0, v0 = lowest_eigenpair(op.matrix, preconditioner, start)
     return e0, WaveFunction.normalized(v0, op.grid)
@@ -308,25 +282,42 @@ def _k0_factor(spec: ModelSpec):
     return lu
 
 
+def _real_factor_solve(lu, rows: int):
+    """The solve of a real LU factor applied to each column of a (rows, m)
+    block given in any shape with rows m entries; a complex block's real
+    and imaginary parts are solved as 2m columns in one call."""
+    def solve(x):
+        block = x.reshape(rows, -1)
+        if not np.iscomplexobj(block):
+            return lu.solve(block).reshape(x.shape)
+        m = block.shape[1]
+        y = lu.solve(np.hstack([block.real, block.imag]))
+        return (y[:, :m] + 1j * y[:, m:]).reshape(x.shape)
+
+    return solve
+
+
+def _k0_preconditioner(spec: ModelSpec):
+    """(K_0 - sigma)^-1 through the model's one real _k0_factor, applied to
+    each column of a grid-major (G, m) block: m = 1 for an H_z vector, F
+    for an H_eps vector on G x F states, 2 for pekar_minimize's [g, psi].
+    The factor is built (SolverError if that fails) when this is called."""
+    return _real_factor_solve(_k0_factor(spec), spec.grid.total_points)
+
+
 def _particle_ground(spec: ModelSpec, op: ParticleOperator,
                      start: WaveFunction | None = None):
     """ground_eigenpair of an operator on spec's grid (H_z or K_0).
 
-    Above DENSE_EIG_CUTOFF it is LOBPCG preconditioned by (K_0 - sigma)^-1,
-    applied through the model's one _k0_factor, from start, by default
-    K_0's ground state psi_0.  (K_0 - sigma)^-1 takes the Laplacian's 1/h^2
-    spread out of the residual, so the step count does not grow as the
-    grid is refined, and a warm start near the ground state needs few.
+    Above DENSE_EIG_CUTOFF it is LOBPCG preconditioned by
+    _k0_preconditioner, from start, by default K_0's ground state psi_0.
+    (K_0 - sigma)^-1 takes the Laplacian's 1/h^2 spread out of the
+    residual, so the step count does not grow as the grid is refined, and
+    a warm start near the ground state needs few.
     """
     if op.dim <= DENSE_EIG_CUTOFF:
         return ground_eigenpair(op)
-    lu = _k0_factor(spec)
-
-    def precondition(r):  # the factor is real; r may be complex
-        if np.iscomplexobj(r):
-            return lu.solve(r.real) + 1j * lu.solve(r.imag)
-        return lu.solve(r)
-
+    precondition = _k0_preconditioner(spec)
     start = _k0_ground(spec)[1] if start is None else start
     return ground_eigenpair(op, precondition, start.values)
 
@@ -516,7 +507,10 @@ def pekar_minimize(spec: ModelSpec,
     _k0_factor, which _particle_ground shares: once they are built a call
     runs no eigensolve and factors nothing.  The factor (SolverError if it
     fails) is first needed only when the start is not stationary.  Under
-    linear coupling the loop solves no field and no eigenproblem.
+    linear coupling the loop solves no field and no eigenproblem.  Under
+    minimal coupling the start is always stationary and the call takes no
+    step: K_0's real ground state carries no current, so b = 0, the solved
+    field vanishes and the gradient is K_0's, parallel to psi_0.
     iterations counts the steps taken.
     """
     grid = spec.grid
@@ -527,8 +521,8 @@ def pekar_minimize(spec: ModelSpec,
     grad_norm = _tangent_norm(grid, psi, grad)
     iterations = 0
     if grad_norm > PEKAR_TOL_GRAD:
-        lu = _k0_factor(spec)
-        direction = _preconditioned_direction(lu, psi, grad)
+        precondition = _k0_preconditioner(spec)
+        direction = _preconditioned_direction(precondition, psi, grad)
         step = 1.0
         while iterations < max_iter and grad_norm > PEKAR_TOL_GRAD:
             iterations += 1
@@ -539,7 +533,8 @@ def pekar_minimize(spec: ModelSpec,
                 if energy_new <= energy + 1e-13:
                     break
                 step *= 0.5
-            direction_new = _preconditioned_direction(lu, psi_new, grad_new)
+            direction_new = _preconditioned_direction(precondition, psi_new,
+                                                      grad_new)
             s = psi_new.values - psi.values
             sy = grid_inner(grid, s, direction_new - direction).real
             if sy > 0:
@@ -561,12 +556,11 @@ def _tangent_norm(grid, psi: WaveFunction, grad: np.ndarray) -> float:
                      * psi.values)
 
 
-def _preconditioned_direction(lu, psi: WaveFunction, grad: np.ndarray):
-    """Mg - (Re<psi|Mg> / Re<psi|M psi>) M psi, the real LU factor lu of
-    M^-1 solving for the real and imaginary parts of g and psi at once."""
-    m = lu.solve(np.column_stack([grad.real, grad.imag,
-                                  psi.values.real, psi.values.imag]))
-    m_grad, m_psi = m[:, 0] + 1j * m[:, 1], m[:, 2] + 1j * m[:, 3]
+def _preconditioned_direction(precondition, psi: WaveFunction,
+                              grad: np.ndarray):
+    """Mg - (Re<psi|Mg> / Re<psi|M psi>) M psi, with M applied to g and psi
+    as one (G, 2) block by _k0_preconditioner's precondition."""
+    m_grad, m_psi = precondition(np.column_stack([grad, psi.values])).T
     return m_grad - (np.vdot(psi.values, m_grad).real
                      / np.vdot(psi.values, m_psi).real) * m_psi
 

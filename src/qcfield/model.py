@@ -242,6 +242,9 @@ class Dispersion:
 
 def build_dispersion(values: Sequence) -> Dispersion:
     v = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("dispersion values must be finite, got "
+                         f"{v[~np.isfinite(v)].tolist()}")
     if np.any(v < 0):
         raise ValueError("dispersion values must be nonnegative")
     return Dispersion(values=v)

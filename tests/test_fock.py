@@ -362,7 +362,9 @@ def test_preconditioned_sweep_matches_unpreconditioned_solve(
             spec, ref.z_star, row.epsilon,
             fock.COHERENT_TAIL_TOL * (row.epsilon / eps_list[0]) ** 2)
         basis = build_fock_basis(spec.n_modes, row.n_max)
-        assert (precond is not None) == (grid_pts <= basis.dim)
+        assert isinstance(precond, fock.UncoupledPreconditioner) == (
+            grid_pts <= max(basis.dim, minimize.DENSE_EIG_CUTOFF))
+        assert precond is not None
         h = assemble_h_eps(spec, basis, row.epsilon)
         if row is rep.rows[0]:
             assert start is None
@@ -379,12 +381,13 @@ def test_preconditioned_sweep_matches_unpreconditioned_solve(
 
 def test_banded_sweep_never_builds_preconditioner(decoupled, decoupled_min,
                                                   monkeypatch):
-    """lowest_eigenpair solves a banded H_eps by shift-invert, so the
-    preconditioner it is handed is never applied nor factorized."""
-    def k0_eigh(spec):
-        raise AssertionError("K_0 eigendecomposition on a banded sweep")
+    """A banded H_eps on a small grid (G = 64 <= DENSE_EIG_CUTOFF) is solved
+    by LOBPCG with the uncoupled inverse, built from K_0's dense eigh: no
+    sparse LU of H_eps or K_0 is ever factorized."""
+    def splu(*args, **kwargs):
+        raise AssertionError("sparse LU factorized on a small-grid sweep")
 
-    monkeypatch.setattr(fock, "_k0_eigh", k0_eigh)
+    monkeypatch.setattr(minimize.spla, "splu", splu)
     rep = epsilon_sweep(decoupled, EPS_LIST, decoupled_min.energy,
                         decoupled_min.z_star)
     assert rep.monotone_ok and rep.all_reliable
@@ -393,12 +396,10 @@ def test_banded_sweep_never_builds_preconditioner(decoupled, decoupled_min,
 def _spy_paths(monkeypatch):
     """Names of the sparse solvers run, and of K_0's eigendecomposition."""
     ran = []
-    eigsh, lobpcg, k0_eigh = (minimize.spla.eigsh, minimize._lobpcg,
-                              fock._k0_eigh)
+    lobpcg, k0_eigh = minimize._lobpcg, fock._k0_eigh
 
     def spy_eigsh(*args, **kwargs):
-        ran.append("lanczos")
-        return eigsh(*args, **kwargs)
+        pytest.fail("spla.eigsh called: LOBPCG is the one iterative path")
 
     def spy_lobpcg(*args, **kwargs):
         ran.append("lobpcg")
@@ -414,18 +415,19 @@ def _spy_paths(monkeypatch):
     return ran
 
 
-@pytest.mark.parametrize("n_max, solver", [(3, "lanczos"),
+@pytest.mark.parametrize("n_max, solver", [(3, "lobpcg"),
                                            (255, "lobpcg")])
 def test_sweep_preconditions_when_grid_within_fock_dimension(
         n_max, solver, monkeypatch):
     """G = 256, above DENSE_EIG_CUTOFF, on either side of G <= F: F = 4
-    takes plain Lanczos without building K_0's eigendecomposition, F = 256
-    takes LOBPCG with the preconditioner."""
+    takes LOBPCG with the model's K_0 factor, built after K_0's own ground
+    solve and without K_0's eigendecomposition, F = 256 takes LOBPCG with
+    the uncoupled inverse."""
     spec = two_particle_nelson(points=16)
     basis = build_fock_basis(spec.n_modes, n_max)
     ran = _spy_paths(monkeypatch)
     rep = epsilon_sweep(spec, [0.5], 0.0, field_z([0.0]), n_max=n_max)
-    assert ran == ([solver] if solver == "lanczos"
+    assert ran == (["lobpcg", solver] if n_max == 3
                    else [solver, "k0_eigh"])  # built at first application
     monkeypatch.undo()
     energy, _ = ground_energy_eps(assemble_h_eps(spec, basis, 0.5))
@@ -434,19 +436,18 @@ def test_sweep_preconditions_when_grid_within_fock_dimension(
 
 @pytest.mark.parametrize("case, n_max, solver",
                          [("polaron_small", 4, "lobpcg"),
-                          ("nelson_pair", 2, "lanczos")])
+                          ("nelson_pair", 2, "lobpcg")])
 def test_ground_state_eps_preconditions_when_grid_within_fock_dimension(
         case, n_max, solver, request, monkeypatch):
-    """The one-point helper hands the solver a preconditioner exactly when
-    G <= F: the polaron (G = 16, F = 70) takes LOBPCG, the two-particle
-    nelson model (G = 144, F = 3) plain Lanczos; both energies equal the
-    unpreconditioned solve of the same H_eps."""
+    """The one-point helper hands the solver the uncoupled inverse when
+    G <= max(F, DENSE_EIG_CUTOFF): the polaron (G = 16, F = 70) and the
+    two-particle nelson model (G = 144, F = 3) take LOBPCG with it; both
+    energies equal the solve of the same H_eps without a preconditioner."""
     spec = request.getfixturevalue(case)
     basis = build_fock_basis(spec.n_modes, n_max)
     ran = _spy_paths(monkeypatch)
     energy, vec = ground_state_eps(spec, basis, 0.5)
-    assert ran == ([solver] if solver == "lanczos"
-                   else [solver, "k0_eigh"])
+    assert ran == [solver, "k0_eigh"]
     monkeypatch.undo()
     h = assemble_h_eps(spec, basis, 0.5)
     expected, _ = ground_energy_eps(h)

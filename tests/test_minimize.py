@@ -169,10 +169,17 @@ def test_pekar_minimize_minimal_coupling(pf_small):
     assert res.energy == pytest.approx(alt.energy, abs=1e-8)
 
 
-def test_pekar_minimize_stationary_start_takes_no_step(decoupled_pekar):
-    # K_0's ground state is already the reduced minimizer
-    assert decoupled_pekar.iterations == 0
-    assert len(decoupled_pekar.energy_trace) == 1
+def test_pekar_minimize_stationary_start_takes_no_step(decoupled_pekar,
+                                                       pf_small, frozen_pf):
+    """K_0's ground state is already the reduced minimizer: the decoupled
+    field is position-independent, and under minimal coupling
+    (small_minimal_coupling, frozen_minimal_coupling) K_0's real ground
+    state carries no current, so b = 0 and the field vanishes."""
+    for res in (decoupled_pekar, pekar_minimize(pf_small),
+                pekar_minimize(frozen_pf)):
+        assert res.converged
+        assert res.iterations == 0
+        assert len(res.energy_trace) == 1
 
 
 def test_pekar_minimize_failed_factor_raises_solver_error(monkeypatch):

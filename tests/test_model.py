@@ -227,6 +227,17 @@ def test_non_finite_model_value_refused(family, extra, message):
         _family_model(family, **extra)
 
 
+@pytest.mark.parametrize("values, named", [
+    ([np.inf], r"\[inf\]"), ([1.0, np.nan], r"\[nan\]"),
+    ([-np.inf, 2.0], r"\[-inf\]")])
+def test_non_finite_dispersion_refused(values, named):
+    """build_dispersion names the non-finite frequencies: NaN passes the
+    comparison with 0, and omega = inf made alternating_minimize return a
+    NaN energy."""
+    with pytest.raises(ValueError, match=f"must be finite, got {named}$"):
+        build_dispersion(values)
+
+
 def test_trapezoid_default_weights():
     modes = build_field_modes([[-1.0], [0.0], [2.0]])
     assert np.allclose(modes.weights, [0.5, 1.5, 1.0])

@@ -1,14 +1,15 @@
 """The ground solver on each of its paths, against independent answers.
 
-Small operators take the dense path.  Above the cutoff an operator takes
-LOBPCG whenever a preconditioner is given; without one a banded operator
-(half-bandwidth b with b^2 <= n) takes shift-invert Lanczos and a wide-band
-one plain Lanczos.  Each path test calls a public wrapper (ground_eigenpair
-or ground_energy_eps) on a bare operator and records which path ran.  The
-particle solves of a model (alternating_minimize, pekar_minimize) take
-LOBPCG above the cutoff, preconditioned by the model's one memoised K_0
-factor and warm-started; the last tests count those factors and check the
-warm-started steps against bare solves.
+Small operators take the dense path; every operator above the cutoff takes
+the in-house LOBPCG.  A call without a preconditioner builds its own, the
+sparse LU of H - sigma with sigma just below the Gershgorin interval, and
+no other iterative solver (ARPACK's eigsh) is ever called.  Each path test
+calls a public wrapper (ground_eigenpair or ground_energy_eps) on a bare
+operator and records which path ran.  The particle solves of a model
+(alternating_minimize, pekar_minimize) and the sweep points on a large grid
+take LOBPCG above the cutoff, preconditioned by the model's one memoised
+K_0 factor and warm-started; the last tests count those factors and check
+the warm-started steps against bare solves.
 """
 
 import warnings
@@ -20,7 +21,7 @@ import scipy.sparse as sp
 from qcfield import (SolverError, alternating_minimize, assemble_h_eps,
                      assemble_hz, assemble_k0, box_ground_energy,
                      build_dispersion, build_field_modes, build_fock_basis,
-                     build_particle_grid, dgamma, field_z,
+                     build_particle_grid, dgamma, epsilon_sweep, field_z,
                      frozen_particle_grid, ground_eigenpair, ground_energy_eps,
                      make_model, multi_start, nelson_form_factor,
                      pekar_minimize)
@@ -35,7 +36,7 @@ def paths(monkeypatch):
     """Names of the solver paths run during the test, with their dtypes."""
     ran = []
     spla, linalg = minimize.spla, minimize.scipy.linalg
-    eigh, eigsh, splu = linalg.eigh, spla.eigsh, spla.splu
+    eigh, splu = linalg.eigh, spla.splu
     lobpcg = minimize._lobpcg
 
     def spy_eigh(a, b=None, *args, **kwargs):
@@ -49,10 +50,8 @@ def paths(monkeypatch):
         ran.append(("shift-invert", a.dtype))
         return splu(a, *args, **kwargs)
 
-    def spy_eigsh(a, *args, **kwargs):
-        if kwargs.get("which") == "SA":
-            ran.append(("lanczos", a.dtype))
-        return eigsh(a, *args, **kwargs)
+    def spy_eigsh(*args, **kwargs):
+        pytest.fail("spla.eigsh called: LOBPCG is the one iterative path")
 
     def spy_lobpcg(a, *args, **kwargs):
         ran.append(("lobpcg", a.dtype))
@@ -153,7 +152,7 @@ def modes_h_eps_preconditioned():
 
 def test_shift_invert_real_box_ground(box_2048, paths):
     e0, psi = ground_eigenpair(box_2048)
-    assert paths == [("shift-invert", np.float64)]
+    assert paths == [("shift-invert", np.float64), ("lobpcg", np.float64)]
     assert e0 == pytest.approx(box_ground_energy(box_2048.grid), abs=1e-9)
     # the lowest discrete box mode is a sampled cosine
     grid = box_2048.grid
@@ -164,11 +163,21 @@ def test_shift_invert_real_box_ground(box_2048, paths):
     assert overlap == pytest.approx(1.0, abs=1e-9)
 
 
+def test_complex_start_on_real_operator(box_2048):
+    """A bare solve of a real operator from a complex start: the real
+    factor solves the residual's real and imaginary parts."""
+    e0, _ = ground_eigenpair(box_2048)
+    start = np.ones(box_2048.dim) + 1j * np.linspace(0.0, 1.0, box_2048.dim)
+    e1, _ = ground_eigenpair(box_2048, start=start)
+    assert e1 == pytest.approx(e0, abs=1e-9)
+
+
 def test_shift_invert_complex_minimal_coupling(minimal_1200, paths):
     mat = minimal_1200.matrix
     assert np.any(mat.data.imag)
     e0, psi = ground_eigenpair(minimal_1200)
-    assert paths == [("shift-invert", np.complex128)]
+    assert paths == [("shift-invert", np.complex128),
+                     ("lobpcg", np.complex128)]
     vals, vecs = np.linalg.eigh(mat.toarray())
     assert e0 == pytest.approx(vals[0], abs=1e-9)
     ref = vecs[:, 0] / (np.linalg.norm(vecs[:, 0])
@@ -180,7 +189,8 @@ def test_shift_invert_complex_minimal_coupling(minimal_1200, paths):
 def test_lanczos_wide_band_h_eps(polaron_h_eps, paths):
     assert np.any(polaron_h_eps.data.imag)
     e0, vec = ground_energy_eps(polaron_h_eps)
-    assert paths == [("lanczos", np.complex128)]
+    assert paths == [("shift-invert", np.complex128),
+                     ("lobpcg", np.complex128)]
     vals = np.linalg.eigvalsh(polaron_h_eps.toarray())
     assert e0 == pytest.approx(vals[0], abs=1e-9)
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
@@ -257,7 +267,7 @@ def test_unconverged_lobpcg_raises_without_warning(
 
 def test_fine_grid_converges_under_scaled_residual(nelson_32768, paths):
     e0, psi = ground_eigenpair(nelson_32768)
-    assert paths == [("shift-invert", np.float64)]
+    assert paths == [("shift-invert", np.float64), ("lobpcg", np.float64)]
     coarse, _ = ground_eigenpair(_one_mode_nelson_hz(2048))
     assert e0 == pytest.approx(coarse, abs=1e-5)  # O(h^2) apart
     residual = np.linalg.norm(nelson_32768.matrix @ psi.values
@@ -321,7 +331,9 @@ def test_one_factor_per_model(monkeypatch):
     """multi_start and pekar_minimize on the 1-d G = 2048 one-mode nelson
     model factor at most twice: the transient shift-invert factor of K_0's
     ground solve and the kept factor of K_0 - sigma.  Once those are built,
-    pekar_minimize factors nothing and runs no eigensolve."""
+    pekar_minimize factors nothing and runs no eigensolve, and a two-point
+    epsilon_sweep with G > max(F, DENSE_EIG_CUTOFF) factors nothing and
+    builds no K_0 eigendecomposition: its points apply the kept factor."""
     spec = _one_mode_nelson(2048)
     factors, solves = [], []
     splu, lowest = minimize.spla.splu, minimize.lowest_eigenpair
@@ -334,14 +346,22 @@ def test_one_factor_per_model(monkeypatch):
         solves.append(args[0].shape)
         return lowest(*args, **kwargs)
 
+    def k0_eigh(spec):
+        raise AssertionError("K_0 eigendecomposition on a large grid")
+
     monkeypatch.setattr(minimize.spla, "splu", spy_splu)
     monkeypatch.setattr(minimize, "lowest_eigenpair", spy_lowest)
+    monkeypatch.setattr(fock, "_k0_eigh", k0_eigh)
     ms = multi_start(spec, n_starts=3)
     assert all(r.converged for r in ms.results)
     assert len(factors) <= 2
     built = (len(factors), len(solves))
     assert pekar_minimize(spec).converged
     assert (len(factors), len(solves)) == built
+    rep = epsilon_sweep(spec, [0.5, 0.25], ms.best.energy, ms.best.z_star,
+                        n_max=3)
+    assert [r.n_max for r in rep.rows] == [3, 3]  # F = 4, G = 2048
+    assert len(factors) == built[0]
 
 
 def test_failed_kept_factor_is_not_memoised(monkeypatch):
