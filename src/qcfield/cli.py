@@ -78,8 +78,6 @@ _KEYS = {
     "model": (str, None, None),
     "out_dir": (str, "results", None),
     "seed": (int, 0, 0),
-    "tol_energy": (float, mz.DEFAULT_TOL_ENERGY, math.ulp(0.0)),
-    "tol_residual": (float, mz.DEFAULT_TOL_RESIDUAL, math.ulp(0.0)),
     "tol_gap": (float, 1e-6, math.ulp(0.0)),
     "max_iter": (int, 200, 1),
     "n_starts": (int, 1, 1),
@@ -162,8 +160,6 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 
 def _run_qc_min(spec, cfg, out_dir):
     ms = mz.multi_start(spec, cfg["n_starts"], seed=cfg["seed"],
-                        tol_energy=cfg["tol_energy"],
-                        tol_residual=cfg["tol_residual"],
                         max_iter=cfg["max_iter"])
     res = ms.best
     extra = {"n_starts": cfg["n_starts"]}
@@ -214,7 +210,7 @@ def _run_pekar(spec, cfg, out_dir):
 def _run_equivalence(spec, cfg, out_dir):
     rep = mz.equivalence_check(spec, tol=cfg["tol_gap"],
                                n_starts=max(cfg["n_starts"], 2),
-                               seed=cfg["seed"])
+                               seed=cfg["seed"], max_iter=cfg["max_iter"])
     payload = {
         "command": "equivalence",
         "seed": cfg["seed"],
@@ -230,25 +226,23 @@ def _run_equivalence(spec, cfg, out_dir):
     rows = [[i, float(e)] for i, e in enumerate(rep.qc_result.energy_trace)]
     write_csv(out_dir / "trace.csv", ["iteration", "energy"], rows)
     write_results(out_dir, payload)
+    if not (rep.qc_result.converged and rep.pekar_result.converged):
+        return EXIT_SOLVER
     return EXIT_OK if rep.passes else EXIT_ASSERTION
 
 
-def _reference_minimum(spec, cfg, out_dir):
-    """The converged coupled minimum that fock-sweep and measures-check
-    measure against; None once the divergence is written to results.json."""
-    res = mz.alternating_minimize(spec, tol_energy=cfg["tol_energy"],
-                                  tol_residual=cfg["tol_residual"],
-                                  max_iter=cfg["max_iter"])
+def _diverged(res, cfg, out_dir, name) -> bool:
+    """Whether the minimization res did not converge; if so, results.json
+    holds the command and the error "<name> minimization diverged"."""
     if not res.converged:
         write_results(out_dir, {"command": cfg["command"],
-                                "error": "reference minimization diverged"})
-        return None
-    return res
+                                "error": f"{name} minimization diverged"})
+    return not res.converged
 
 
 def _run_fock_sweep(spec, cfg, out_dir):
-    res = _reference_minimum(spec, cfg, out_dir)
-    if res is None:
+    res = mz.alternating_minimize(spec, max_iter=cfg["max_iter"])
+    if _diverged(res, cfg, out_dir, "reference"):
         return EXIT_SOLVER
     rep = fk.epsilon_sweep(spec, cfg["eps_list"], res.energy, res.z_star,
                            n_max=cfg["n_max"])
@@ -300,12 +294,14 @@ def _run_convexity(spec, cfg, out_dir):
 
 
 def _run_measures_check(spec, cfg, out_dir):
-    res = _reference_minimum(spec, cfg, out_dir)
-    if res is None:
+    res = mz.alternating_minimize(spec, max_iter=cfg["max_iter"])
+    if _diverged(res, cfg, out_dir, "reference"):
+        return EXIT_SOLVER
+    reduced = mz.pekar_minimize(spec, max_iter=cfg["max_iter"])
+    if _diverged(reduced, cfg, out_dir, "reduced"):
         return EXIT_SOLVER
     rep = atomic_bound_check(spec, cfg["n_samples"], cfg["seed"],
-                             reference=res,
-                             e_pekar=mz.pekar_minimize(spec).energy)
+                             reference=res, e_pekar=reduced.energy)
     payload = {
         "command": "measures-check",
         "seed": cfg["seed"],

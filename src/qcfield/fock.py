@@ -20,13 +20,11 @@ from itertools import chain, combinations
 from math import comb, ceil
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 from scipy.special import gammainc, gammaln
 
 from .errors import CapacityError, TruncationError
-from .minimize import (DENSE_EIG_CUTOFF, PRECONDITIONER_MARGIN,
-                       _k0_preconditioner, lowest_eigenpair)
+from .minimize import k0_preconditioner, lowest_eigenpair
 from .model import ModelSpec, mode_norm
 from .qc_energy import (FieldAmplitudes, WaveFunction, assemble_k0,
                         momentum_matrix, qc_energy)
@@ -182,73 +180,21 @@ def ground_energy_eps(h: sp.spmatrix, preconditioner=None,
     return lowest_eigenpair(h, preconditioner, start)
 
 
-def _k0_eigh(spec: ModelSpec):
-    """Dense eigh of K_0, memoised on the spec beside assemble_k0's K_0;
-    real eigenvectors when K_0 is real.  Both arrays are read-only."""
-    eig = spec.__dict__.get("_k0_eigh")
-    if eig is None:
-        k0 = assemble_k0(spec).matrix.toarray()
-        eig = spec.__dict__["_k0_eigh"] = scipy.linalg.eigh(
-            k0 if np.any(k0.imag) else k0.real)
-        for arr in eig:
-            arr.flags.writeable = False
-    return eig
-
-
-@dataclass(frozen=True, eq=False)
-class UncoupledPreconditioner:
-    """Exact inverse of the uncoupled operator, (K_0 (x) 1 + 1 (x) dGamma -
-    sigma)^-1 with sigma = lambda_0(K_0) - PRECONDITIONER_MARGIN, callable on
-    (n,) vectors and (n, m) blocks in the grid-major layout.
-
-    In K_0's eigenbasis U the operator is diagonal, so one application is
-    U^dag x, a divide by lambda_g + eps sum_j omega_j n_j - sigma, and U
-    times the result: two G x G matmuls on a (G, fock dim) array.  dGamma
-    >= 0, so every divisor is at least the margin.  ground_state_eps
-    passes it when G <= max(F, DENSE_EIG_CUTOFF).  Nothing is computed
-    before the first application, so a solve on the dense path never pays
-    for K_0's eigendecomposition.
-    """
-
-    spec: ModelSpec
-    basis: FockBasis
-    epsilon: float
-
-    @cached_property
-    def _factors(self):
-        vals, vecs = _k0_eigh(self.spec)
-        occupation = dgamma(self.basis, self.spec.dispersion,
-                            self.epsilon).diagonal().real
-        sigma = vals[0] - PRECONDITIONER_MARGIN
-        denom = (vals[:, None] - sigma + occupation)[:, :, None]  # (G, F, 1)
-        return vecs, vecs.conj().T, denom
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        vecs, vecs_h, denom = self._factors
-        g, f = denom.shape[:2]
-        y = (vecs_h @ x.reshape(g, -1)).reshape(g, f, -1) / denom
-        return (vecs @ y.reshape(g, -1)).reshape(x.shape)
-
-
 def ground_state_eps(spec: ModelSpec, basis: FockBasis, epsilon: float,
                      start: np.ndarray | None = None):
     """Ground (energy, vector) of the quantized model at one eps: assembles
     H_eps on the grid x basis space and solves it with ground_energy_eps
-    from start (all-ones by default), always with a preconditioner.
-
-    When the grid has G <= max(F, DENSE_EIG_CUTOFF) points for F basis
-    states, that is an UncoupledPreconditioner: K_0's dense eigh (G^3
-    flops, G^2 floats) then costs at most one application (2 G^2 F) or is
-    small.  On a larger grid it is the model's memoised K_0 factor,
-    (K_0 - sigma)^-1 applied to each of the F columns of the grid-major
-    (G, F) vector (minimize._k0_preconditioner), which factors nothing
+    from start (all-ones by default), preconditioned by
+    k0_preconditioner(spec, shifts) with shifts dGamma's diagonal: the
+    exact inverse of the uncoupled operator K_0 (x) 1 + 1 (x) dGamma -
+    sigma when the grid has G <= max(F, DENSE_EIG_CUTOFF) points for F
+    basis states, else the model's memoised K_0 factor applied to each of
+    the F columns of the grid-major (G, F) vector, which factors nothing
     once the model's particle solves have built it.
     """
     h = assemble_h_eps(spec, basis, epsilon)
-    if spec.grid.total_points <= max(basis.dim, DENSE_EIG_CUTOFF):
-        precond = UncoupledPreconditioner(spec, basis, epsilon)
-    else:
-        precond = _k0_preconditioner(spec)
+    precond = k0_preconditioner(
+        spec, dgamma(basis, spec.dispersion, epsilon).diagonal().real)
     return ground_energy_eps(h, preconditioner=precond, start=start)
 
 
@@ -400,9 +346,10 @@ def epsilon_sweep(spec: ModelSpec, eps_list, e_qc_ref: float,
     DEFAULT_DIMENSION_CAP before the first point is solved.  Each point is
     solved by ground_state_eps from the previous point's ground vector
     padded with zeros (the first point from the all-ones vector); above
-    the dense cutoff that is LOBPCG with ground_state_eps's preconditioner,
-    so on a grid with G > max(F, DENSE_EIG_CUTOFF) the sweep applies the
-    model's memoised K_0 factor.  eps_list must pass check_eps_list.
+    the dense cutoff that is LOBPCG preconditioned by k0_preconditioner,
+    which reads the model's memoised K_0 eigendecomposition or K_0
+    factor, built at most once per model.  eps_list must pass
+    check_eps_list.
     """
     eps = check_eps_list(eps_list)
     z_ref.require_gauge("z")

@@ -30,8 +30,8 @@ LOBPCG_MAXITER = 400
 LOBPCG_REFRESH_EVERY = 50  # _lobpcg's period of recomputing A x from x
 EIG_RESIDUAL_TOL = 1e-9
 RESIDUAL_NORM_SCALE = 1e5  # ||H|| above which the residual bound grows
-DEFAULT_TOL_ENERGY = 1e-10
-DEFAULT_TOL_RESIDUAL = 1e-7
+TOL_ENERGY = 1e-10  # alternating_minimize's energy decrement tolerance
+TOL_RESIDUAL = 1e-7  # and its stationarity residual tolerance
 PEKAR_TOL_GRAD = 1e-8  # projected-gradient norm that ends pekar_minimize
 PRECONDITIONER_MARGIN = 1.0  # sigma sits this far below K_0's spectrum
 
@@ -204,15 +204,15 @@ def lowest_eigenpair(matrix: sp.spmatrix, preconditioner=None,
     vector, so the result is deterministic.  The preconditioner is a
     callable that applies a positive definite approximation of
     (H - sigma)^-1, sigma below the spectrum, to an (n,) vector and returns
-    a new array; it is applied on the LOBPCG path alone, so a lazily built
-    one costs nothing on the dense path.  Without one the solve builds its
-    own: the sparse LU of H - sigma_G, sigma_G just below the Gershgorin
-    interval, which costs a factor of the whole operator (small when H is
-    banded, large when its band is wide); a complex start on a real H is
-    solved by real and imaginary part.  The residual ||H v - e v|| is
-    checked on the matrix as given, against EIG_RESIDUAL_TOL * max(1,
-    ||H||_G / RESIDUAL_NORM_SCALE) with ||H||_G the larger end of the
-    Gershgorin interval: round-off in H v grows with ||H||.  The interval
+    a new array; it is applied on the LOBPCG path alone.  Without one the
+    solve builds its own: the sparse LU of H - sigma_G, sigma_G just below
+    the Gershgorin interval, which costs a factor of the whole operator
+    (small when H is banded, large when its band is wide); a complex start
+    on a real H is solved by real and imaginary part.  The residual
+    ||H v - e v|| is checked on the matrix as given, against
+    EIG_RESIDUAL_TOL * max(1, ||H||_G / RESIDUAL_NORM_SCALE) with ||H||_G
+    the larger end of the Gershgorin interval: round-off in H v grows with
+    ||H||.  The interval
     is computed at most once per solve.  LOBPCG stops at half that bound or
     after LOBPCG_MAXITER steps, and emits no warnings; the residual check
     alone decides whether a solve converged.  Solver breakdowns (a failed
@@ -257,13 +257,35 @@ def ground_eigenpair(op: ParticleOperator, preconditioner=None,
     return e0, WaveFunction.normalized(v0, op.grid)
 
 
+def _k0_eigh(spec: ModelSpec):
+    """Dense eigh of K_0, memoised on the spec beside assemble_k0's K_0;
+    real eigenvectors when K_0 is real.  Both arrays are read-only."""
+    eig = spec.__dict__.get("_k0_eigh")
+    if eig is None:
+        k0 = assemble_k0(spec).matrix.toarray()
+        eig = spec.__dict__["_k0_eigh"] = scipy.linalg.eigh(
+            k0 if np.any(k0.imag) else k0.real)
+        for arr in eig:
+            arr.flags.writeable = False
+    return eig
+
+
 def _k0_ground(spec: ModelSpec):
-    """K_0's ground pair (lambda_0, psi_0) by a bare ground_eigenpair,
-    memoised on the spec beside assemble_k0's K_0; psi_0's values are
-    read-only."""
+    """K_0's ground pair (lambda_0, psi_0), memoised on the spec beside
+    assemble_k0's K_0; psi_0's values are read-only.
+
+    Up to DENSE_EIG_CUTOFF grid points it is column 0 of _k0_eigh, phase
+    fixed and normalized on the grid, so a small model's K_0 is decomposed
+    once and never factored; above it, a bare ground_eigenpair of K_0.
+    """
     ground = spec.__dict__.get("_k0_ground")
     if ground is None:
-        lam0, psi0 = ground_eigenpair(assemble_k0(spec))
+        if spec.grid.total_points <= DENSE_EIG_CUTOFF:
+            vals, vecs = _k0_eigh(spec)
+            lam0, psi0 = float(vals[0]), WaveFunction.normalized(
+                _fix_phase(vecs[:, 0]), spec.grid)
+        else:
+            lam0, psi0 = ground_eigenpair(assemble_k0(spec))
         psi0.values.flags.writeable = False
         ground = spec.__dict__["_k0_ground"] = (lam0, psi0)
     return ground
@@ -297,12 +319,35 @@ def _real_factor_solve(lu, rows: int):
     return solve
 
 
-def _k0_preconditioner(spec: ModelSpec):
-    """(K_0 - sigma)^-1 through the model's one real _k0_factor, applied to
-    each column of a grid-major (G, m) block: m = 1 for an H_z vector, F
-    for an H_eps vector on G x F states, 2 for pekar_minimize's [g, psi].
-    The factor is built (SolverError if that fails) when this is called."""
-    return _real_factor_solve(_k0_factor(spec), spec.grid.total_points)
+def k0_preconditioner(spec: ModelSpec, shifts: np.ndarray | None = None):
+    """(K_0 (x) 1 + 1 (x) diag(shifts) - sigma)^-1, sigma = lambda_0(K_0) -
+    PRECONDITIONER_MARGIN, applied to a grid-major (G, m) block given in
+    any shape with G m entries; without shifts, (K_0 - sigma)^-1 on each
+    column.  ground_state_eps passes dGamma's diagonal (>= 0, so every
+    divisor is at least the margin); the particle solves and
+    pekar_minimize pass none.
+
+    When G <= max(len(shifts), DENSE_EIG_CUTOFF) it is exact in K_0's
+    memoised eigenbasis U (_k0_eigh): U^dag x, a divide by lambda_g +
+    shift_f - sigma, and U times the result.  With G <= F the eigh (G^3
+    flops) costs at most one application (2 G^2 F).  Otherwise it is the
+    model's memoised LU of the real K_0 - sigma (_k0_factor, SolverError
+    if that fails) on each column, and the shifts are dropped.
+    """
+    g = spec.grid.total_points
+    if g > max(0 if shifts is None else len(shifts), DENSE_EIG_CUTOFF):
+        return _real_factor_solve(_k0_factor(spec), g)
+    vals, vecs = _k0_eigh(spec)
+    denom = vals - (vals[0] - PRECONDITIONER_MARGIN)
+    if shifts is not None:
+        denom = denom[:, None] + shifts  # (G, F)
+    vecs_h = vecs.conj().T
+
+    def apply(x):
+        y = (vecs_h @ x.reshape(g, -1)).reshape(*denom.shape, -1)
+        return (vecs @ (y / denom[..., None]).reshape(g, -1)).reshape(x.shape)
+
+    return apply
 
 
 def _particle_ground(spec: ModelSpec, op: ParticleOperator,
@@ -310,16 +355,16 @@ def _particle_ground(spec: ModelSpec, op: ParticleOperator,
     """ground_eigenpair of an operator on spec's grid (H_z or K_0).
 
     Above DENSE_EIG_CUTOFF it is LOBPCG preconditioned by
-    _k0_preconditioner, from start, by default K_0's ground state psi_0.
-    (K_0 - sigma)^-1 takes the Laplacian's 1/h^2 spread out of the
-    residual, so the step count does not grow as the grid is refined, and
-    a warm start near the ground state needs few.
+    k0_preconditioner(spec), the model's one K_0 factor, from start, by
+    default K_0's ground state psi_0.  (K_0 - sigma)^-1 takes the
+    Laplacian's 1/h^2 spread out of the residual, so the step count does
+    not grow as the grid is refined, and a warm start near the ground
+    state needs few.
     """
     if op.dim <= DENSE_EIG_CUTOFF:
         return ground_eigenpair(op)
-    precondition = _k0_preconditioner(spec)
     start = _k0_ground(spec)[1] if start is None else start
-    return ground_eigenpair(op, precondition, start.values)
+    return ground_eigenpair(op, k0_preconditioner(spec), start.values)
 
 
 def best_particle_energy(spec: ModelSpec, z: FieldAmplitudes) -> float:
@@ -357,14 +402,12 @@ def random_field_start(spec: ModelSpec, rng: np.random.Generator) -> FieldAmplit
 
 def alternating_minimize(spec: ModelSpec,
                          init_eta: FieldAmplitudes | None = None,
-                         tol_energy: float = DEFAULT_TOL_ENERGY,
-                         tol_residual: float = DEFAULT_TOL_RESIDUAL,
                          max_iter: int = 200,
                          seed: int | None = None) -> MinimizeResult:
     """Alternate exact psi- and field-steps until stationary.
 
-    Convergence requires both the energy decrement below tol_energy and the
-    stationarity residuals below tol_residual; the energy stalls before the
+    Convergence requires both the energy decrement below TOL_ENERGY and the
+    stationarity residuals at most TOL_RESIDUAL; the energy stalls before the
     residuals do in flat valleys, so both are checked.  The start is the field
     init_eta, else eta_pekar of a random psi drawn from seed, else zero; a
     given psi's start is init_eta=eta_pekar(spec, psi).  Each psi-step is
@@ -407,8 +450,8 @@ def alternating_minimize(spec: ModelSpec,
         reference = energy if np.isfinite(energy) else e_psi_step
         decrement = reference - e_eta_step
         energy = e_eta_step
-        if decrement < tol_energy and res.psi_residual <= tol_residual \
-                and res.field_residual <= tol_residual:
+        if decrement < TOL_ENERGY and res.psi_residual <= TOL_RESIDUAL \
+                and res.field_residual <= TOL_RESIDUAL:
             converged = True
             break
 
@@ -502,11 +545,13 @@ def pekar_minimize(spec: ModelSpec,
     d = Mg - (Re<psi|Mg> / Re<psi|M psi>) M psi.  tau is the Barzilai-Borwein
     ratio <s|s> / Re<s|d_new - d> clamped to [1e-6, 1e3], halved while the
     energy rises.  M takes the Laplacian's 1/h^2 spread out of g, so the
-    step count does not grow as the grid is refined.  The start psi_0 and
-    M's sparse LU of the real K_0 are the model's memoised _k0_ground and
-    _k0_factor, which _particle_ground shares: once they are built a call
-    runs no eigensolve and factors nothing.  The factor (SolverError if it
-    fails) is first needed only when the start is not stationary.  Under
+    step count does not grow as the grid is refined.  The start psi_0 is
+    the model's memoised _k0_ground, and M is k0_preconditioner(spec):
+    exact in K_0's memoised eigenbasis up to DENSE_EIG_CUTOFF grid points,
+    above it the model's one memoised LU of the real K_0 - sigma, which
+    _particle_ground shares.  Once they are built a call runs no
+    eigensolve and decomposes nothing.  M (SolverError if its factor
+    fails) is built only when the start is not stationary.  Under
     linear coupling the loop solves no field and no eigenproblem.  Under
     minimal coupling the start is always stationary and the call takes no
     step: K_0's real ground state carries no current, so b = 0, the solved
@@ -521,7 +566,7 @@ def pekar_minimize(spec: ModelSpec,
     grad_norm = _tangent_norm(grid, psi, grad)
     iterations = 0
     if grad_norm > PEKAR_TOL_GRAD:
-        precondition = _k0_preconditioner(spec)
+        precondition = k0_preconditioner(spec)
         direction = _preconditioned_direction(precondition, psi, grad)
         step = 1.0
         while iterations < max_iter and grad_norm > PEKAR_TOL_GRAD:
@@ -559,7 +604,7 @@ def _tangent_norm(grid, psi: WaveFunction, grad: np.ndarray) -> float:
 def _preconditioned_direction(precondition, psi: WaveFunction,
                               grad: np.ndarray):
     """Mg - (Re<psi|Mg> / Re<psi|M psi>) M psi, with M applied to g and psi
-    as one (G, 2) block by _k0_preconditioner's precondition."""
+    as one (G, 2) block by k0_preconditioner's precondition."""
     m_grad, m_psi = precondition(np.column_stack([grad, psi.values])).T
     return m_grad - (np.vdot(psi.values, m_grad).real
                      / np.vdot(psi.values, m_psi).real) * m_psi
@@ -583,12 +628,15 @@ class EquivalenceReport:
 
 
 def equivalence_check(spec: ModelSpec, tol: float = 1e-6,
-                      n_starts: int = 3, seed: int = 17) -> EquivalenceReport:
+                      n_starts: int = 3, seed: int = 17,
+                      max_iter: int = 200) -> EquivalenceReport:
     """Verify that the coupled and reduced minimizations reach the same energy.
 
     Computes the coupled minimum by multi-start alternating minimization and
-    the reduced minimum by sphere-projected descent, then evaluates the
-    coupled minimizer in the reduced functional.  qc_at_pekar_minimizer is
+    the reduced minimum by sphere-projected descent, each capped at
+    max_iter iterations (qc_result.converged and pekar_result.converged
+    tell whether they converged), then evaluates the coupled minimizer in
+    the reduced functional.  qc_at_pekar_minimizer is
     e_pekar itself, the coupled energy at the reduced minimizer and its
     field, kept in the report.
     """
@@ -596,9 +644,9 @@ def equivalence_check(spec: ModelSpec, tol: float = 1e-6,
     if not is_trapping(spec):
         notes.append("external potential not declared trapping; Dirichlet "
                      "walls still confine the box")
-    ms = multi_start(spec, n_starts=n_starts, seed=seed)
+    ms = multi_start(spec, n_starts=n_starts, seed=seed, max_iter=max_iter)
     qc = ms.best
-    pk = pekar_minimize(spec)
+    pk = pekar_minimize(spec, max_iter=max_iter)
     e_pekar = pekar_energy(spec, pk.psi_star).value
     pekar_at_qc = pekar_energy(spec, qc.psi_star).value
     gap = abs(qc.energy - e_pekar)

@@ -45,7 +45,7 @@ class WaveFunction:
         return grid_norm(self.grid, self.values)
 
     def require_normalized(self) -> None:
-        if abs(self.norm() - 1.0) > NORM_TOL:
+        if not abs(self.norm() - 1.0) <= NORM_TOL:  # NaN fails too
             raise NormalizationError(
                 f"wave function norm {self.norm():.12g} is not 1 within "
                 f"{NORM_TOL:g}")
@@ -56,6 +56,8 @@ class WaveFunction:
         n = grid_norm(grid, values)
         if n == 0:
             raise NormalizationError("cannot normalize the zero vector")
+        if not np.isfinite(n):
+            raise NormalizationError(f"cannot normalize a vector of norm {n}")
         return WaveFunction(values=values / n, grid=grid)
 
 

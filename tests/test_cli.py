@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from qcfield.model import (ModelSpec, build_dispersion, build_field_modes,
                            build_particle_grid, nelson_form_factor)
 from qcfield.presets import (cosine_coupled_reference, decoupled_reference,
                              two_particle_nelson)
+
+DEMO_MODELS = Path(__file__).resolve().parent.parent / "demos" / "models"
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +115,28 @@ tol_gap = 1e-300
 """)
     assert main(["equivalence", "--config", str(cfg_tight),
                  "--out", str(tmp_path / "eq2_out")]) == EXIT_ASSERTION
+
+
+@pytest.mark.parametrize("command, max_iter", [("equivalence", 1),
+                                               ("measures-check", 5)])
+def test_max_iter_caps_every_minimization(tmp_path, command, max_iter):
+    """max_iter caps the minimizations that equivalence and measures-check
+    run, as it caps pekar's: on the demo cosine trap both commands exit 3
+    where pekar does."""
+    for cmd in ("pekar", command):
+        cfg = _write_cfg(tmp_path / f"{cmd}.cfg", f"""command = {cmd}
+model = {DEMO_MODELS / 'cosine_trap.json'}
+max_iter = {max_iter}
+""")
+        out = tmp_path / f"{cmd}_out"
+        assert main([cmd, "--config", str(cfg), "--out", str(out)]) \
+            == EXIT_SOLVER
+    results = json.loads((out / "results.json").read_text())
+    if command == "measures-check":
+        assert results == {"command": command,
+                           "error": "reduced minimization diverged"}
+    else:  # unconverged: exit 3 whatever the gap check says
+        assert results["command"] == command and "passes" in results
 
 
 def test_fock_sweep_artifacts_and_flagging(tmp_path, model_dir):
@@ -397,7 +422,8 @@ model = {model_dir / 'decoupled.json'}
 
 
 @pytest.mark.parametrize("key", ["n_start", "tol_grad", "max_atoms", "scale",
-                                 "delta", "tail0", "min_shells"])
+                                 "delta", "tail0", "min_shells",
+                                 "tol_energy", "tol_residual"])
 def test_unknown_key_exits_validation(tmp_path, model_dir, key):
     cfg = _write_cfg(tmp_path / "uk.cfg", f"""command = qc-min
 model = {model_dir / 'decoupled.json'}
@@ -437,7 +463,7 @@ model = {model_dir / 'decoupled.json'}
     assert not (tmp_path / "sd_out").exists()
 
 
-@pytest.mark.parametrize("line", ["tol_energy = nan", "tol_gap = inf"])
+@pytest.mark.parametrize("line", ["tol_gap = nan", "tol_gap = inf"])
 def test_non_finite_tolerance_exits_validation(tmp_path, model_dir, capsys,
                                                line):
     key = line.split()[0]
@@ -456,7 +482,6 @@ model = {model_dir / 'decoupled.json'}
 def test_every_schema_key_accepted(tmp_path, model_dir):
     """Each optional key documented in the schema parses, and every key the
     parser knows is documented."""
-    from pathlib import Path
     schema = (Path(__file__).resolve().parent.parent / "docs"
               / "run_config_schema.txt").read_text()
     section = schema.split("Optional keys")[1].split("Outputs")[0]

@@ -1,5 +1,6 @@
-"""Smoke test of the narrative demos and the README's library quick start:
-each runs as a fresh Python process, in a scratch directory, and exits 0."""
+"""Smoke test of the narrative demos, the README's library quick start and
+python -m qcfield: each runs as a fresh Python process, in a scratch
+directory, and exits 0."""
 
 import os
 import subprocess
@@ -7,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from qcfield.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
@@ -37,3 +40,16 @@ def test_readme_quick_start_runs(tmp_path):
     proc = _run(["-c", _quick_start()], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_module_entry_point_matches_cli_main(tmp_path):
+    """python -m qcfield in a fresh process writes the results.json that
+    qcfield.cli.main writes for the same arguments."""
+    config = ROOT / "demos" / "configs" / "qc_min.cfg"
+    proc = _run(["-m", "qcfield", "qc-min", "--config", str(config),
+                 "--out", str(tmp_path / "module")], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert main(["qc-min", "--config", str(config),
+                 "--out", str(tmp_path / "main")]) == 0
+    assert (tmp_path / "module" / "results.json").read_bytes() \
+        == (tmp_path / "main" / "results.json").read_bytes()

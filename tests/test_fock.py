@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from math import comb
 
 from qcfield import (CapacityError, TruncationError, alternating_minimize,
@@ -334,6 +335,20 @@ SWEEP_CASES = [("polaron_small", "weak_polaron", (1.0, 0.8)),
                ("nelson_pair", "nelson_pair", (0.5, 0.25))]
 
 
+def _inverts_uncoupled_operator(spec, basis, eps, precond):
+    """Whether precond is (K_0 (x) 1 + 1 (x) dGamma - sigma)^-1, sigma =
+    lambda_0(K_0) - PRECONDITIONER_MARGIN, on a random vector."""
+    k0 = assemble_k0(spec).matrix
+    uncoupled = (sp.kron(k0, sp.identity(basis.dim))
+                 + sp.kron(sp.identity(spec.grid.total_points),
+                           dgamma(basis, spec.dispersion, eps)))
+    sigma = (np.linalg.eigvalsh(k0.toarray())[0]
+             - minimize.PRECONDITIONER_MARGIN)
+    x = np.random.default_rng(3).standard_normal(uncoupled.shape[0])
+    y = precond(x)
+    return np.allclose(uncoupled @ y - sigma * y, x, atol=1e-10)
+
+
 def _spy_solves(monkeypatch):
     """(preconditioner, start) of every sweep solve, in order."""
     solves = []
@@ -362,9 +377,10 @@ def test_preconditioned_sweep_matches_unpreconditioned_solve(
             spec, ref.z_star, row.epsilon,
             fock.COHERENT_TAIL_TOL * (row.epsilon / eps_list[0]) ** 2)
         basis = build_fock_basis(spec.n_modes, row.n_max)
-        assert isinstance(precond, fock.UncoupledPreconditioner) == (
-            grid_pts <= max(basis.dim, minimize.DENSE_EIG_CUTOFF))
         assert precond is not None
+        assert _inverts_uncoupled_operator(spec, basis, row.epsilon,
+                                           precond) == (
+            grid_pts <= max(basis.dim, minimize.DENSE_EIG_CUTOFF))
         h = assemble_h_eps(spec, basis, row.epsilon)
         if row is rep.rows[0]:
             assert start is None
@@ -396,7 +412,7 @@ def test_banded_sweep_never_builds_preconditioner(decoupled, decoupled_min,
 def _spy_paths(monkeypatch):
     """Names of the sparse solvers run, and of K_0's eigendecomposition."""
     ran = []
-    lobpcg, k0_eigh = minimize._lobpcg, fock._k0_eigh
+    lobpcg, k0_eigh = minimize._lobpcg, minimize._k0_eigh
 
     def spy_eigsh(*args, **kwargs):
         pytest.fail("spla.eigsh called: LOBPCG is the one iterative path")
@@ -411,7 +427,7 @@ def _spy_paths(monkeypatch):
 
     monkeypatch.setattr(minimize.spla, "eigsh", spy_eigsh)
     monkeypatch.setattr(minimize, "_lobpcg", spy_lobpcg)
-    monkeypatch.setattr(fock, "_k0_eigh", spy_k0_eigh)
+    monkeypatch.setattr(minimize, "_k0_eigh", spy_k0_eigh)
     return ran
 
 
@@ -428,7 +444,7 @@ def test_sweep_preconditions_when_grid_within_fock_dimension(
     ran = _spy_paths(monkeypatch)
     rep = epsilon_sweep(spec, [0.5], 0.0, field_z([0.0]), n_max=n_max)
     assert ran == (["lobpcg", solver] if n_max == 3
-                   else [solver, "k0_eigh"])  # built at first application
+                   else ["k0_eigh", solver])
     monkeypatch.undo()
     energy, _ = ground_energy_eps(assemble_h_eps(spec, basis, 0.5))
     assert rep.rows[0].energy == pytest.approx(energy, abs=1e-10)
@@ -447,7 +463,7 @@ def test_ground_state_eps_preconditions_when_grid_within_fock_dimension(
     basis = build_fock_basis(spec.n_modes, n_max)
     ran = _spy_paths(monkeypatch)
     energy, vec = ground_state_eps(spec, basis, 0.5)
-    assert ran == [solver, "k0_eigh"]
+    assert ran == ["k0_eigh", solver]
     monkeypatch.undo()
     h = assemble_h_eps(spec, basis, 0.5)
     expected, _ = ground_energy_eps(h)

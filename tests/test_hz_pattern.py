@@ -11,7 +11,7 @@ import scipy.sparse as sp
 
 from qcfield import (assemble_hz, assemble_k0, build_dispersion,
                      build_field_modes, build_particle_grid, coupling,
-                     eta_pekar, field_z, fock, load_model, make_model,
+                     eta_pekar, field_z, load_model, make_model, minimize,
                      nelson_form_factor, pauli_fierz_form_factor, presets,
                      random_wavefunction)
 from qcfield.qc_energy import (complex_normal, effective_potential,
@@ -148,7 +148,7 @@ def test_shared_pattern_is_safe():
 def test_memoised_k0_and_its_eigh_are_read_only():
     spec = pauli_fierz_pair()
     k0 = assemble_k0(spec).matrix
-    for arr in (k0.data, k0.indices, k0.indptr, *fock._k0_eigh(spec)):
+    for arr in (k0.data, k0.indices, k0.indptr, *minimize._k0_eigh(spec)):
         with pytest.raises(ValueError):
             arr[0] = arr[0]
 

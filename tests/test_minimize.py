@@ -11,7 +11,6 @@ from qcfield import (ParticleOperator, SolverError, alternating_minimize,
 from qcfield import minimize
 from qcfield.minimize import minimizer_distance
 from qcfield.model import resolve_potential
-from qcfield.presets import cosine_coupled_reference
 
 from oracles import E0_HARMONIC_64, E_QC_COSINE, E_QC_DECOUPLED, E_SOLITON
 
@@ -183,9 +182,16 @@ def test_pekar_minimize_stationary_start_takes_no_step(decoupled_pekar,
 
 
 def test_pekar_minimize_failed_factor_raises_solver_error(monkeypatch):
-    # a model of its own: the session's cosine model may already hold the
-    # factor that an earlier test built, and then splu is never called
-    cosine = cosine_coupled_reference()
+    # a model of its own above DENSE_EIG_CUTOFF: a small model's
+    # preconditioner factors nothing, and a shared model may already hold
+    # the factor that an earlier test built, and then splu is never called
+    grid = build_particle_grid(1, 1, 8.0, 256)
+    modes = build_field_modes([[1.0]], weights=[1.0])
+    disp = build_dispersion([1.0])
+    cosine = make_model("nelson", grid, modes, disp,
+                        nelson_form_factor(grid, modes, [0.5],
+                                           dispersion=disp), "harmonic")
+    minimize._k0_ground(cosine)  # K_0's ground pair, before splu fails
 
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")

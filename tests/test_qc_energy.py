@@ -117,6 +117,22 @@ def test_qc_energy_rejects_unnormalized(decoupled):
         qc_energy(decoupled, bad, field_z([0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_wavefunction_refused(cosine, bad):
+    """A NaN norm fails the tolerance check, and a non-finite vector is
+    not normalized to NaN values."""
+    values = np.full(cosine.grid.total_points, bad, dtype=complex)
+    with pytest.raises(NormalizationError):
+        WaveFunction(values, cosine.grid).require_normalized()
+    with pytest.raises(NormalizationError):
+        qc_energy(cosine, WaveFunction(values, cosine.grid), field_z([0.1]))
+    with pytest.raises(NormalizationError):
+        WaveFunction.normalized(values, cosine.grid)
+    values[0] = 1.0  # one finite entry does not help
+    with pytest.raises(NormalizationError):
+        WaveFunction.normalized(values, cosine.grid)
+
+
 @pytest.mark.parametrize("family", ["nelson_small", "polaron_small",
                                     "pf_small"])
 def test_eta_gauge_change_of_variables(family, request):

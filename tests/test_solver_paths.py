@@ -5,11 +5,13 @@ the in-house LOBPCG.  A call without a preconditioner builds its own, the
 sparse LU of H - sigma with sigma just below the Gershgorin interval, and
 no other iterative solver (ARPACK's eigsh) is ever called.  Each path test
 calls a public wrapper (ground_eigenpair or ground_energy_eps) on a bare
-operator and records which path ran.  The particle solves of a model
-(alternating_minimize, pekar_minimize) and the sweep points on a large grid
-take LOBPCG above the cutoff, preconditioned by the model's one memoised
-K_0 factor and warm-started; the last tests count those factors and check
-the warm-started steps against bare solves.
+operator and records which path ran.  The solves of a model
+(alternating_minimize, pekar_minimize, the sweep points) are preconditioned
+by minimize.k0_preconditioner: exact in K_0's memoised eigenbasis when the
+grid has G <= max(F, DENSE_EIG_CUTOFF) points, else the model's one
+memoised K_0 factor.  The last tests count K_0's decompositions (one eigh
+on a small grid, at most two factors on a large one) and check the
+warm-started particle steps against bare solves.
 """
 
 import warnings
@@ -25,10 +27,11 @@ from qcfield import (SolverError, alternating_minimize, assemble_h_eps,
                      frozen_particle_grid, ground_eigenpair, ground_energy_eps,
                      make_model, multi_start, nelson_form_factor,
                      pekar_minimize)
-from qcfield import fock, minimize
-from qcfield.fock import UncoupledPreconditioner
-from qcfield.presets import (decoupled_reference, small_minimal_coupling,
-                             small_polaron, two_particle_nelson)
+from qcfield import minimize
+from qcfield.minimize import k0_preconditioner
+from qcfield.presets import (cosine_coupled_reference, decoupled_reference,
+                             small_minimal_coupling, small_polaron,
+                             two_particle_nelson)
 
 
 @pytest.fixture
@@ -121,15 +124,20 @@ def polaron_h_eps():
     return assemble_h_eps(spec, build_fock_basis(spec.n_modes, 4), 0.5)
 
 
+def _uncoupled_inverse(spec, basis, eps):
+    """k0_preconditioner's exact inverse of the uncoupled operator, built
+    (K_0's eigendecomposition included) before any path spy sees it."""
+    return k0_preconditioner(
+        spec, dgamma(basis, spec.dispersion, eps).diagonal().real)
+
+
 @pytest.fixture(scope="module")
 def polaron_h_eps_preconditioned():
-    """The same H_eps with the inverse of its uncoupled operator, applied
-    once so that K_0's eigendecomposition is not seen by the path spies."""
+    """The same H_eps with the inverse of its uncoupled operator."""
     spec = small_polaron()
     basis = build_fock_basis(spec.n_modes, 4)
-    precond = UncoupledPreconditioner(spec, basis, 0.5)
-    precond(np.ones(spec.grid.total_points * basis.dim))
-    return assemble_h_eps(spec, basis, 0.5), precond
+    return (assemble_h_eps(spec, basis, 0.5),
+            _uncoupled_inverse(spec, basis, 0.5))
 
 
 @pytest.fixture(scope="module")
@@ -145,9 +153,8 @@ def modes_h_eps_preconditioned():
                       nelson_form_factor(grid, modes, [0.3] * 6,
                                          dispersion=disp), "zero")
     basis = build_fock_basis(spec.n_modes, 6)
-    precond = UncoupledPreconditioner(spec, basis, 0.5)
-    precond(np.ones(basis.dim))
-    return assemble_h_eps(spec, basis, 0.5), precond
+    return (assemble_h_eps(spec, basis, 0.5),
+            _uncoupled_inverse(spec, basis, 0.5))
 
 
 def test_shift_invert_real_box_ground(box_2048, paths):
@@ -238,9 +245,9 @@ def test_preconditioner_inverts_uncoupled_operator(polaron_small):
                  + sp.kron(sp.identity(polaron_small.grid.total_points),
                            dgamma(basis, polaron_small.dispersion, eps)))
     sigma = (np.linalg.eigvalsh(assemble_k0(polaron_small).matrix.toarray())[0]
-             - fock.PRECONDITIONER_MARGIN)
+             - minimize.PRECONDITIONER_MARGIN)
     block = np.random.default_rng(7).standard_normal((uncoupled.shape[0], 2))
-    applied = UncoupledPreconditioner(polaron_small, basis, eps)(block)
+    applied = _uncoupled_inverse(polaron_small, basis, eps)(block)
     back = uncoupled @ applied - sigma * applied
     assert np.allclose(back, block, atol=1e-12)
 
@@ -351,7 +358,7 @@ def test_one_factor_per_model(monkeypatch):
 
     monkeypatch.setattr(minimize.spla, "splu", spy_splu)
     monkeypatch.setattr(minimize, "lowest_eigenpair", spy_lowest)
-    monkeypatch.setattr(fock, "_k0_eigh", k0_eigh)
+    monkeypatch.setattr(minimize, "_k0_eigh", k0_eigh)
     ms = multi_start(spec, n_starts=3)
     assert all(r.converged for r in ms.results)
     assert len(factors) <= 2
@@ -362,6 +369,36 @@ def test_one_factor_per_model(monkeypatch):
                         n_max=3)
     assert [r.n_max for r in rep.rows] == [3, 3]  # F = 4, G = 2048
     assert len(factors) == built[0]
+
+
+def test_small_model_decomposes_k0_once(monkeypatch):
+    """On a grid with G <= DENSE_EIG_CUTOFF, alternating_minimize,
+    pekar_minimize and a two-point epsilon_sweep through LOBPCG decompose
+    K_0 once, by the one _k0_eigh build that K_0's ground pair and every
+    preconditioner read, and factor nothing."""
+    spec = cosine_coupled_reference()  # G = 64, a fresh model
+    k0 = assemble_k0(spec).matrix.toarray().real
+    decompositions = []
+    eigh = minimize.scipy.linalg.eigh
+
+    def spy_eigh(a, b=None, *args, **kwargs):
+        if b is None and np.array_equal(a, k0):
+            decompositions.append("eigh")
+        return eigh(a, b, *args, **kwargs)
+
+    def spy_splu(a, *args, **kwargs):
+        raise AssertionError("sparse LU factorized on a small grid")
+
+    monkeypatch.setattr(minimize.scipy.linalg, "eigh", spy_eigh)
+    monkeypatch.setattr(minimize.spla, "splu", spy_splu)
+    qc = alternating_minimize(spec, seed=3)
+    reduced = pekar_minimize(spec)
+    assert qc.converged and reduced.converged and reduced.iterations > 0
+    rep = epsilon_sweep(spec, [0.5, 0.25], qc.energy, qc.z_star, n_max=3)
+    assert spec.grid.total_points * build_fock_basis(1, 3).dim \
+        > minimize.DENSE_EIG_CUTOFF  # the sweep points take LOBPCG
+    assert len(rep.rows) == 2
+    assert decompositions == ["eigh"]
 
 
 def test_failed_kept_factor_is_not_memoised(monkeypatch):
