@@ -221,6 +221,8 @@ def _run_equivalence(spec, cfg, out_dir):
         "qc_at_pekar_minimizer": rep.qc_at_pekar_minimizer,
         "tolerance": cfg["tol_gap"],
         "passes": rep.passes,
+        "qc_converged": rep.qc_result.converged,
+        "pekar_converged": rep.pekar_result.converged,
         "notes": list(rep.notes),
     }
     rows = [[i, float(e)] for i, e in enumerate(rep.qc_result.energy_trace)]

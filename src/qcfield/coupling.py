@@ -25,6 +25,9 @@ from BY_FAMILY once per model.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
+
 import numpy as np
 
 from .errors import SolverError
@@ -38,8 +41,9 @@ class LinearCoupling:
     the field leaves a density-density kernel."""
 
     def interaction(self, spec, field, momentum):
-        """sum_p field(p); momentum is not used."""
-        return sum(field(p) for p in range(spec.grid.n_particles))
+        """sum_p field(p); momentum is not used.  The sum starts from
+        field(0), not from 0, which would copy it."""
+        return reduce(add, map(field, range(spec.grid.n_particles)))
 
     def field_data(self, spec, pattern, fields):
         """sum_p a_p on the pattern's diagonal."""

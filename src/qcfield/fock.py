@@ -24,7 +24,7 @@ import scipy.sparse as sp
 from scipy.special import gammainc, gammaln
 
 from .errors import CapacityError, TruncationError
-from .minimize import k0_preconditioner, lowest_eigenpair
+from .minimize import field_ground, k0_preconditioner, lowest_eigenpair
 from .model import ModelSpec, mode_norm
 from .qc_energy import (FieldAmplitudes, WaveFunction, assemble_k0,
                         momentum_matrix, qc_energy)
@@ -80,6 +80,38 @@ class FockBasis:
         return (c[s[:, 0], k] - c[s[:, 0], k - 1]
                 + (c[s[:, :-1], m] - c[s[:, 1:], m]).sum(axis=1))
 
+    @cached_property
+    def _lowering(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray],
+                                 ...]:
+        """Per mode j, (cols, targets, n) as int32: the ranks of the states
+        with n_j > 0 in ascending order, the ranks of those states with
+        n_j lowered by one, and their n_j."""
+        index = []
+        for j in range(self.n_modes):
+            cols = np.flatnonzero(self.states[:, j])
+            target = self.states[cols]
+            target[:, j] -= 1
+            index.append((cols.astype(np.int32),
+                          self.rank(target).astype(np.int32),
+                          self.states[cols, j].astype(np.int32)))
+        return tuple(index)
+
+    def leading_block(self, n_max: int) -> "FockBasis":
+        """The basis with cutoff n_max <= self.n_max: this basis's first
+        C(K + n_max, K) states, with its lowering index cut to them (a
+        lowered state precedes its source, so the cut is a prefix)."""
+        if not 0 <= n_max <= self.n_max:
+            raise ValueError(f"n_max must lie in [0, {self.n_max}]")
+        if n_max == self.n_max:
+            return self
+        dim = comb(self.n_modes + n_max, n_max)
+        block = FockBasis(n_modes=self.n_modes, n_max=n_max,
+                          states=self.states[:dim])
+        block.__dict__["_lowering"] = tuple(
+            tuple(a[:np.searchsorted(cols, dim)] for a in (cols, t, n))
+            for cols, t, n in self._lowering)
+        return block
+
 
 def build_fock_basis(n_modes: int, n_max: int) -> FockBasis:
     if n_modes < 1 or n_max < 0:
@@ -110,15 +142,9 @@ def ladder_operators(basis: FockBasis, epsilon: float):
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must lie in (0, 1]")
-    lowering = []
-    for j in range(basis.n_modes):
-        cols = np.flatnonzero(basis.states[:, j])
-        target = basis.states[cols]
-        target[:, j] -= 1
-        lowering.append(sp.csr_matrix(
-            (np.sqrt(epsilon * basis.states[cols, j]),
-             (basis.rank(target), cols)),
-            shape=(basis.dim, basis.dim), dtype=complex))
+    lowering = [sp.csr_matrix((np.sqrt(epsilon * n), (targets, cols)),
+                              shape=(basis.dim, basis.dim), dtype=complex)
+                for cols, targets, n in basis._lowering]
     raising = [a.conj().T.tocsr() for a in lowering]
     return lowering, raising
 
@@ -135,10 +161,61 @@ def _check_capacity(dim: int) -> None:
                             f"{DEFAULT_DIMENSION_CAP}")
 
 
+def _hopping(basis: FockBasis):
+    """The pattern of sum_j (a_j + a_j^dag) on basis as canonical CSR
+    arrays (indptr, indices), with per entry its mode j, whether it is
+    a_j's (rather than a_j^dag's), and the occupation n of its amplitude
+    sqrt(eps n).
+
+    Row r holds a_j^dag's entries at rank(r - e_j) for ascending j, then
+    a_j's at rank(r + e_j) for descending j.  In graded lexicographic
+    order r - e_j precedes r - e_k and r + e_j follows r + e_k when
+    j < k, and shell T - 1 precedes shell T + 1, so each row's columns
+    ascend without a sort.
+    """
+    k = basis.n_modes
+    cols = np.zeros((basis.dim, 2 * k), dtype=np.int32)
+    occ = np.zeros((basis.dim, 2 * k), dtype=np.int32)
+    for j, (c, t, n) in enumerate(basis._lowering):
+        cols[c, j], occ[c, j] = t, n  # a_j^dag: row c = t + e_j
+        cols[t, 2 * k - 1 - j], occ[t, 2 * k - 1 - j] = c, n  # a_j: row t
+    stored = occ.ravel() > 0
+    indptr = np.zeros(basis.dim + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(occ, axis=1), out=indptr[1:])
+    slot = np.tile(np.arange(2 * k, dtype=np.int16), basis.dim)[stored]
+    lowers = slot >= k
+    mode = np.where(lowers, 2 * k - 1 - slot, slot)
+    return indptr, cols.ravel()[stored], mode, lowers, occ.ravel()[stored]
+
+
+def _field_operator(hopping, lifted: np.ndarray, sqw: np.ndarray,
+                    epsilon: float) -> sp.csr_matrix:
+    """sum_j sqrt(w_j) (diag lambda_j (x) a_j^dag + diag conj(lambda_j)
+    (x) a_j) for a lifted (G, K) table, as one block-diagonal CSR matrix:
+    block x is the _hopping pattern with entry values sqrt(w_j)
+    (lambda_j(x) sqrt(eps n)), lambda_j conjugated for a_j.  Zero entries
+    are dropped, so the arrays equal those of the sum of the 2K Kronecker
+    products."""
+    indptr, indices, mode, lowers, n = hopping
+    g, f, nnz = lifted.shape[0], len(indptr) - 1, len(indices)
+    data = lifted[:, mode]
+    np.conjugate(data, out=data, where=lowers)
+    data *= np.sqrt(epsilon * n)
+    data *= sqw[mode]
+    blocks = np.arange(g, dtype=np.int32)[:, None]
+    op = sp.csr_matrix(
+        (data.ravel(), (blocks * f + indices).ravel(),
+         np.append((blocks * nnz + indptr[:-1]).ravel(), g * nnz)),
+        shape=(g * f, g * f))
+    op.eliminate_zeros()
+    return op
+
+
 def assemble_h_eps(spec: ModelSpec, basis: FockBasis,
                    epsilon: float) -> sp.csr_matrix:
     """Quantized Hamiltonian on the (particle grid) x (Fock basis) space:
-    H_z's coupling interaction with the field quantized, A_p (x) a_j^dag."""
+    H_z's coupling interaction with the field quantized, A_p (x) a_j^dag,
+    each particle's field built in one pass by _field_operator."""
     grid = spec.grid
     _check_capacity(grid.total_points * basis.dim)
     k0 = assemble_k0(spec).matrix
@@ -146,17 +223,12 @@ def assemble_h_eps(spec: ModelSpec, basis: FockBasis,
     eye_g = sp.identity(grid.total_points, format="csr", dtype=complex)
     h = sp.kron(k0, eye_f, format="csr") \
         + sp.kron(eye_g, dgamma(basis, spec.dispersion, epsilon), format="csr")
-    lowering, raising = ladder_operators(basis, epsilon)
     sqw = np.sqrt(spec.modes.weights)
+    hopping = _hopping(basis)
 
     def field(p):
         lifted = grid.lift_single(spec.form_factor.tables[p], p)
-        op = 0
-        for j in range(spec.n_modes):
-            d = sp.diags(lifted[:, j].astype(complex), format="csr")
-            op = op + sqw[j] * (sp.kron(d, raising[j], format="csr")
-                                + sp.kron(d.conj(), lowering[j], format="csr"))
-        return op
+        return _field_operator(hopping, lifted.astype(complex), sqw, epsilon)
 
     def momentum(p):
         return sp.kron(momentum_matrix(grid, p), eye_f, format="csr")
@@ -191,8 +263,15 @@ def ground_state_eps(spec: ModelSpec, basis: FockBasis, epsilon: float,
     basis states, else the model's memoised K_0 factor applied to each of
     the F columns of the grid-major (G, F) vector, which factors nothing
     once the model's particle solves have built it.
+
+    A complex start on a real H_eps is rotated by the phase of its
+    largest entry and its real part kept, so that the solve stays in real
+    arithmetic.
     """
     h = assemble_h_eps(spec, basis, epsilon)
+    if np.iscomplexobj(start) and not np.any(h.data.imag):
+        top = start[np.argmax(np.abs(start))]
+        start = (start * (abs(top) / top)).real
     precond = k0_preconditioner(
         spec, dgamma(basis, spec.dispersion, epsilon).diagonal().real)
     return ground_energy_eps(h, preconditioner=precond, start=start)
@@ -343,13 +422,22 @@ def epsilon_sweep(spec: ModelSpec, eps_list, e_qc_ref: float,
     error sequence must be non-increasing within a 1e-8 slack.
 
     Every point's tensor dimension G * C(K + n_max, K) is checked against
-    DEFAULT_DIMENSION_CAP before the first point is solved.  Each point is
-    solved by ground_state_eps from the previous point's ground vector
-    padded with zeros (the first point from the all-ones vector); above
-    the dense cutoff that is LOBPCG preconditioned by k0_preconditioner,
-    which reads the model's memoised K_0 eigendecomposition or K_0
-    factor, built at most once per model.  eps_list must pass
-    check_eps_list.
+    DEFAULT_DIMENSION_CAP before the one basis of the sweep, at its
+    largest cutoff, is enumerated; cutoffs never fall along the sweep,
+    and each point's basis is a leading block of that one.  Each point is
+    solved by ground_state_eps; above the dense cutoff that is LOBPCG
+    preconditioned by k0_preconditioner, which reads the model's memoised
+    K_0 eigendecomposition or K_0 factor, built at most once per model.
+    The starts follow the classical limit, psi_ref (x) the coherent state
+    of z_ref at eps, psi_ref the ground state of H_(z_ref)
+    (minimize.field_ground).  The first point starts from that product,
+    truncated to its basis, or from the all-ones vector when every
+    coherent coefficient underflows.  Each later point starts from the
+    previous ground vector padded with zeros and scaled by
+    (eps_prev / eps)^(N_f / 2) on each basis state f of total occupation
+    N_f, which carries psi (x) |alpha> to psi (x) |alpha sqrt(eps_prev /
+    eps)>; the scale is divided by its value on the previous top shell,
+    so that it never overflows.  eps_list must pass check_eps_list.
     """
     eps = check_eps_list(eps_list)
     z_ref.require_gauge("z")
@@ -358,18 +446,23 @@ def epsilon_sweep(spec: ModelSpec, eps_list, e_qc_ref: float,
         spec, z_ref, e, COHERENT_TAIL_TOL * (e / eps[0]) ** 2) for e in eps]
     for cutoff in cutoffs:
         _check_capacity(grid_pts * comb(spec.n_modes + cutoff, cutoff))
-    rows, prev = [], None
+    full = build_fock_basis(spec.n_modes, max(cutoffs))
+    rows = []
     for e, cutoff in zip(eps, cutoffs):
-        basis = build_fock_basis(spec.n_modes, cutoff)
-        start = None
-        if prev is not None:
-            # cutoffs never fall along the sweep, and a smaller basis is
-            # the leading block of a larger one: pad with zeros
-            start = np.pad(prev, ((0, 0), (0, basis.dim - prev.shape[1])))
+        basis = full.leading_block(cutoff)
+        if not rows:
+            start = _coherent_start(spec, basis, e, z_ref)
+        else:
+            # psi (x) |alpha> -> psi (x) |alpha sqrt(eps_last / eps)>,
+            # scaled to 1 on the last point's top shell
+            last = rows[-1]
+            lead = vec * (last.epsilon / e) ** (
+                0.5 * (basis.totals[:vec.shape[1]] - last.n_max))
+            start = np.pad(lead, ((0, 0), (0, basis.dim - lead.shape[1])))
             start = start.ravel()
         energy, vec = ground_state_eps(spec, basis, e, start)
-        prev = vec.reshape(grid_pts, basis.dim)
-        resh = np.abs(prev) ** 2
+        vec = vec.reshape(grid_pts, basis.dim)
+        resh = np.abs(vec) ** 2
         tail_ind = float(resh[:, basis.top_shell()].sum() / resh.sum())
         rows.append(SweepRow(epsilon=e, energy=energy,
                              abs_err=abs(energy - e_qc_ref), n_max=cutoff,
@@ -381,6 +474,19 @@ def epsilon_sweep(spec: ModelSpec, eps_list, e_qc_ref: float,
     return SweepReport(rows=tuple(rows), e_qc_ref=e_qc_ref,
                        monotone_ok=monotone,
                        all_reliable=all(r.reliable for r in rows))
+
+
+def _coherent_start(spec: ModelSpec, basis: FockBasis, epsilon: float,
+                    z: FieldAmplitudes) -> np.ndarray | None:
+    """psi_z (x) the truncated coherent coefficients of z at epsilon, psi_z
+    the ground state of H_z, scaled by the largest coefficient; None (the
+    all-ones start) when every coefficient underflows to zero."""
+    coeffs, _ = coherent_fock_coefficients(spec, basis, epsilon, z)
+    top = np.max(np.abs(coeffs))
+    if top == 0.0:
+        return None
+    _, psi = field_ground(spec, z)
+    return np.outer(psi.values, coeffs / top).ravel()
 
 
 def stability_lower_bound(spec: ModelSpec) -> float:

@@ -201,10 +201,13 @@ def lowest_eigenpair(matrix: sp.spmatrix, preconditioner=None,
     Real arithmetic when every stored entry is real.  Dense eigh of the
     lowest pair up to DENSE_EIG_CUTOFF.  Above it, the in-house LOBPCG with
     block size 1 (_lobpcg) from start, by default the normalized all-ones
-    vector, so the result is deterministic.  The preconditioner is a
-    callable that applies a positive definite approximation of
-    (H - sigma)^-1, sigma below the spectrum, to an (n,) vector and returns
-    a new array; it is applied on the LOBPCG path alone.  Without one the
+    vector, so the result is deterministic.  LOBPCG iterates in the
+    start's type as well as H's: a complex start on a real H runs in
+    complex arithmetic (fock.ground_state_eps makes such starts real).
+    The preconditioner is a callable that applies a positive definite
+    approximation of (H - sigma)^-1, sigma below the spectrum, to an (n,)
+    vector and returns a new array; it is applied on the LOBPCG path
+    alone.  Without one the
     solve builds its own: the sparse LU of H - sigma_G, sigma_G just below
     the Gershgorin interval, which costs a factor of the whole operator
     (small when H is banded, large when its band is wide); a complex start
@@ -328,11 +331,14 @@ def k0_preconditioner(spec: ModelSpec, shifts: np.ndarray | None = None):
     pekar_minimize pass none.
 
     When G <= max(len(shifts), DENSE_EIG_CUTOFF) it is exact in K_0's
-    memoised eigenbasis U (_k0_eigh): U^dag x, a divide by lambda_g +
-    shift_f - sigma, and U times the result.  With G <= F the eigh (G^3
-    flops) costs at most one application (2 G^2 F).  Otherwise it is the
-    model's memoised LU of the real K_0 - sigma (_k0_factor, SolverError
-    if that fails) on each column, and the shifts are dropped.
+    memoised eigenbasis U (_k0_eigh): U^dag x, a multiply by the
+    precomputed 1 / (lambda_g + shift_f - sigma), and U times the result.
+    A real U (K_0 real) is applied to a complex block viewed as real
+    (re, im) column pairs, two real matrix products rather than complex
+    ones.  With G <= F the eigh (G^3 flops) costs at most one application
+    (2 G^2 F).  Otherwise it is the model's memoised LU of the real
+    K_0 - sigma (_k0_factor, SolverError if that fails) on each column,
+    and the shifts are dropped.
     """
     g = spec.grid.total_points
     if g > max(0 if shifts is None else len(shifts), DENSE_EIG_CUTOFF):
@@ -341,11 +347,22 @@ def k0_preconditioner(spec: ModelSpec, shifts: np.ndarray | None = None):
     denom = vals - (vals[0] - PRECONDITIONER_MARGIN)
     if shifts is not None:
         denom = denom[:, None] + shifts  # (G, F)
-    vecs_h = vecs.conj().T
+    recip = 1.0 / denom.reshape(g, -1, 1)
+    # recip twice along the last axis: multiplies a trailing pair (such as
+    # a complex entry's (re, im)) without a slow broadcast
+    recip_pair = np.repeat(recip, 2, axis=2)
+    real = not np.iscomplexobj(vecs)
+    vecs_h = vecs.T if real else vecs.conj().T
 
     def apply(x):
-        y = (vecs_h @ x.reshape(g, -1)).reshape(*denom.shape, -1)
-        return (vecs @ (y / denom[..., None]).reshape(g, -1)).reshape(x.shape)
+        block = np.ascontiguousarray(x).reshape(g, -1)
+        pairs = real and np.iscomplexobj(block)
+        if pairs:  # real U: one real product on (re, im) column pairs
+            block = block.view(np.float64)
+        y = (vecs_h @ block).reshape(g, recip.shape[1], -1)
+        y *= recip_pair if y.shape[2] == 2 else recip
+        y = vecs @ y.reshape(g, -1)
+        return (y.view(np.complex128) if pairs else y).reshape(x.shape)
 
     return apply
 
@@ -365,6 +382,16 @@ def _particle_ground(spec: ModelSpec, op: ParticleOperator,
         return ground_eigenpair(op)
     start = _k0_ground(spec)[1] if start is None else start
     return ground_eigenpair(op, k0_preconditioner(spec), start.values)
+
+
+def field_ground(spec: ModelSpec, z: FieldAmplitudes):
+    """Ground pair of H_z without its constant offset: _particle_ground's
+    solve from K_0's ground state.  At the zero field it is K_0's memoised
+    ground pair (_k0_ground) itself, as H_0 = K_0, so a small model's K_0
+    is decomposed once, not solved again."""
+    if not np.any(z.values):
+        return _k0_ground(spec)
+    return _particle_ground(spec, assemble_hz(spec, z))
 
 
 def best_particle_energy(spec: ModelSpec, z: FieldAmplitudes) -> float:
@@ -413,7 +440,9 @@ def alternating_minimize(spec: ModelSpec,
     given psi's start is init_eta=eta_pekar(spec, psi).  Each psi-step is
     _particle_ground's solve from the previous step's psi, the first from
     K_0's ground state: above DENSE_EIG_CUTOFF every step applies the
-    model's one memoised K_0 factor and factors nothing.
+    model's one memoised K_0 factor and factors nothing.  From the default
+    zero field the first psi-step is field_ground's: K_0's memoised ground
+    pair, with no solve.
     """
     spec.dispersion.require_gap("alternating minimization")
     if max_iter < 1:
@@ -435,7 +464,10 @@ def alternating_minimize(spec: ModelSpec,
     op = assemble_hz(spec, z)  # H_z at the current field, built once per field
     psi = None  # the first psi-step starts from K_0's ground state
     for it in range(1, max_iter + 1):
-        e0, psi = _particle_ground(spec, op, psi)
+        if psi is None and init_eta is None and seed is None:
+            e0, psi = field_ground(spec, z)  # H_0 = K_0: no solve
+        else:
+            e0, psi = _particle_ground(spec, op, psi)
         e_psi_step = e0 + op.constant_offset
         trace.append(e_psi_step)
 

@@ -134,3 +134,41 @@ def ladder_matrices(states: np.ndarray, epsilon: float):
         lowering.append(sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim),
                                       dtype=complex))
     return lowering, [a.conj().T.tocsr() for a in lowering]
+
+
+def kron_h_eps(k0, lifted, weights, omega, states, epsilon, momenta=None,
+               masses=None, charge=None):
+    """H_eps built by Kronecker products, term by term: K_0 (x) 1 +
+    1 (x) dGamma plus, per particle p with lifted (G, K) table lifted[p],
+    A_p = sum_j sqrt(w_j) (diag lambda_j (x) a_j^dag + diag conj(lambda_j)
+    (x) a_j).  Linear coupling adds sum_p A_p; given momenta (the (G, G)
+    P_p), masses and charge, minimal coupling adds
+    sum_p (e/2m_p)(P_p A_p + A_p P_p) + (e^2/2m_p) A_p A_p, P_p lifted as
+    P_p (x) 1.  Terms are summed in that order."""
+    dim = len(states)
+    eye_f = sp.identity(dim, format="csr", dtype=complex)
+    eye_g = sp.identity(k0.shape[0], format="csr", dtype=complex)
+    dgamma = sp.diags((epsilon * (states @ np.asarray(omega))).astype(complex),
+                      format="csr")
+    h = sp.kron(k0, eye_f, format="csr") + sp.kron(eye_g, dgamma,
+                                                    format="csr")
+    lowering, raising = ladder_matrices(states, epsilon)
+    sqw = np.sqrt(weights)
+
+    def field(table):
+        op = 0
+        for j in range(states.shape[1]):
+            d = sp.diags(table[:, j].astype(complex), format="csr")
+            op = op + sqw[j] * (sp.kron(d, raising[j], format="csr")
+                                + sp.kron(d.conj(), lowering[j],
+                                          format="csr"))
+        return op
+
+    if momenta is None:
+        return (h + sum(field(table) for table in lifted)).tocsr()
+    total = 0
+    for table, mom, m in zip(lifted, momenta, masses):
+        a, mom = field(table), sp.kron(mom, eye_f, format="csr")
+        total = total + (charge / (2.0 * m)) * (mom @ a + a @ mom) \
+            + (charge ** 2 / (2.0 * m)) * (a @ a)
+    return (h + total).tocsr()

@@ -137,6 +137,14 @@ max_iter = {max_iter}
                            "error": "reduced minimization diverged"}
     else:  # unconverged: exit 3 whatever the gap check says
         assert results["command"] == command and "passes" in results
+        # results.json says which minimization did not converge
+        assert results["qc_converged"] is False
+        assert results["pekar_converged"] is False
+        again = tmp_path / "again_out"
+        assert main([command, "--config", str(cfg), "--out", str(again)]) \
+            == EXIT_SOLVER
+        assert (again / "results.json").read_bytes() \
+            == (out / "results.json").read_bytes()
 
 
 def test_fock_sweep_artifacts_and_flagging(tmp_path, model_dir):

@@ -4,7 +4,8 @@ import scipy.sparse as sp
 from math import comb
 
 from qcfield import (CapacityError, TruncationError, alternating_minimize,
-                     assemble_h_eps, assemble_k0, build_fock_basis,
+                     assemble_h_eps, assemble_hz, assemble_k0,
+                     build_fock_basis,
                      coherent_product_state, coherent_tail, dgamma,
                      epsilon_sweep, field_z, ground_eigenpair,
                      ground_energy_eps, ground_state_eps, ladder_operators,
@@ -13,9 +14,11 @@ from qcfield import (CapacityError, TruncationError, alternating_minimize,
 from qcfield import fock, minimize
 from qcfield.fock import coherent_fock_coefficients
 from qcfield.presets import small_polaron, two_particle_nelson
+from qcfield.qc_energy import momentum_matrix
 
 from oracles import (dense_displaced_oscillator,
-                     displaced_oscillator_ground, fock_states, ladder_matrices)
+                     displaced_oscillator_ground, fock_states, kron_h_eps,
+                     ladder_matrices)
 
 EPS_LIST = [0.5, 0.25, 0.125, 0.0625]
 
@@ -55,6 +58,43 @@ def test_smaller_basis_is_leading_block(n_modes, small, large):
     lo = build_fock_basis(n_modes, small)
     hi = build_fock_basis(n_modes, large)
     assert np.array_equal(lo.states, hi.states[:lo.dim])
+
+
+def _kron_oracle(spec, n_max, eps):
+    """tests/oracles.kron_h_eps on spec's K_0, lifted tables and, under
+    minimal coupling, momenta, masses and charge."""
+    grid = spec.grid
+    particles = range(grid.n_particles)
+    extra = {}
+    if spec.family == "pauli_fierz":
+        extra = dict(momenta=[momentum_matrix(grid, p) for p in particles],
+                     masses=[spec.mass_of(p) for p in particles],
+                     charge=spec.charge)
+    return kron_h_eps(
+        assemble_k0(spec).matrix,
+        [grid.lift_single(spec.form_factor.tables[p], p) for p in particles],
+        spec.modes.weights, spec.dispersion.values,
+        fock_states(spec.n_modes, n_max), eps, **extra)
+
+
+@pytest.mark.parametrize("fixture, n_max", [("polaron_small", 4),
+                                            ("nelson_pair", 4),
+                                            ("pf_small", 4)])
+@pytest.mark.parametrize("eps", [0.5, 0.3])
+def test_h_eps_matches_kron_oracle(fixture, n_max, eps, request):
+    """assemble_h_eps builds each particle's field in one pass; its CSR
+    arrays are bit-identical to the term-by-term Kronecker construction,
+    on a basis enumerated at n_max and on the leading block of a deeper
+    one, as a sweep takes it."""
+    spec = request.getfixturevalue(fixture)
+    expected = _kron_oracle(spec, n_max, eps)
+    for basis in (build_fock_basis(spec.n_modes, n_max),
+                  build_fock_basis(spec.n_modes, n_max + 2).leading_block(
+                      n_max)):
+        got = assemble_h_eps(spec, basis, eps)
+        for name in ("data", "indices", "indptr"):
+            x, y = getattr(got, name), getattr(expected, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 def test_ladder_vacuum_expectation():
@@ -383,15 +423,118 @@ def test_preconditioned_sweep_matches_unpreconditioned_solve(
             grid_pts <= max(basis.dim, minimize.DENSE_EIG_CUTOFF))
         h = assemble_h_eps(spec, basis, row.epsilon)
         if row is rep.rows[0]:
-            assert start is None
+            # psi_ref (x) the coherent state of z_ref, psi_ref the ground
+            # state of H_(z_ref)
+            _, psi = ground_eigenpair(assemble_hz(spec, ref.z_star))
+            coeffs, _ = coherent_fock_coefficients(spec, basis, row.epsilon,
+                                                   ref.z_star)
+            expected = np.kron(psi.values, coeffs)
+            assert abs(np.vdot(expected, start)) >= (1 - 1e-12) \
+                * np.linalg.norm(expected) * np.linalg.norm(start)
         else:
-            # the start is the previous ground vector padded with zeros
+            # the previous ground vector padded with zeros, scaled by
+            # (eps_prev / eps)^(N_f / 2) up to a constant
             start = start.reshape(grid_pts, basis.dim)
             assert not np.any(start[:, prev_dim:])
-            lead = start[:, :prev_dim].ravel()
+            lead = start[:, :prev_dim] * (row.epsilon / prev_eps) ** (
+                0.5 * basis.totals[:prev_dim])
+            lead = lead.ravel() / np.linalg.norm(lead)
             assert np.linalg.norm(prev_h @ lead - prev_e * lead) <= 1e-8
         energy, _ = ground_energy_eps(h)
         prev_h, prev_e, prev_dim = h, energy, basis.dim
+        prev_eps = row.epsilon
+        assert row.energy == pytest.approx(energy, abs=1e-10)
+
+
+def _modes_model():
+    """A frozen site with six nelson modes (k = 0 .. 1, omega = 1 + k,
+    lambda_0 = 0.3): a real H_eps of dimension up to 74 613 at
+    eps = 0.125."""
+    from qcfield import (build_dispersion, build_field_modes, make_model,
+                         nelson_form_factor)
+    from qcfield.model import frozen_particle_grid
+    grid = frozen_particle_grid()
+    k = np.linspace(0.0, 1.0, 6)
+    modes = build_field_modes([[x] for x in k], weights=[1.0] * 6)
+    disp = build_dispersion(list(1.0 + k))
+    form = nelson_form_factor(grid, modes, [0.3] * 6, dispersion=disp)
+    return make_model("nelson", grid, modes, disp, form, "zero")
+
+
+def _spy_lobpcg(monkeypatch):
+    """(matrix dtype, start dtype, steps) of every LOBPCG solve; a step
+    applies the preconditioner once."""
+    runs = []
+    lobpcg = minimize._lobpcg
+
+    def spy(work, start, preconditioner, tol):
+        steps = [0]
+
+        def counted(x):
+            steps[0] += 1
+            return preconditioner(x)
+
+        result = lobpcg(work, start, counted, tol)
+        runs.append((work.dtype, start.dtype, steps[0]))
+        return result
+
+    monkeypatch.setattr(minimize, "_lobpcg", spy)
+    return runs
+
+
+@pytest.fixture(scope="module")
+def modes_sweep():
+    """The six-mode sweep at eps = (0.5, 0.25, 0.125) with its LOBPCG
+    runs."""
+    spec = _modes_model()
+    ref = alternating_minimize(spec)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        runs = _spy_lobpcg(monkeypatch)
+        epsilon_sweep(spec, [0.5, 0.25, 0.125], ref.energy, ref.z_star)
+    return runs
+
+
+def test_sweep_starts_real_on_real_h_eps(modes_sweep):
+    """The classical start psi_ref (x) |alpha> carries round-off imaginary
+    parts even for a real field; on a real H_eps it is made real, so every
+    point is solved in real arithmetic."""
+    assert len(modes_sweep) == 3
+    for work_dtype, start_dtype, _ in modes_sweep:
+        assert work_dtype == np.float64 and start_dtype == np.float64
+
+
+def test_classical_starts_cut_lobpcg_steps(modes_sweep, polaron_small,
+                                           monkeypatch):
+    """Starting each sweep from the coherent state of the classical field,
+    rescaled from point to point, bounds the LOBPCG steps: the six-mode
+    sweep took 92 steps and the polaron sweep at eps = (0.65, 0.5) 101
+    from the all-ones vector and the padded previous vector."""
+    assert sum(steps for _, _, steps in modes_sweep) <= 65
+    ref = alternating_minimize(polaron_small)
+    runs = _spy_lobpcg(monkeypatch)
+    epsilon_sweep(polaron_small, [0.65, 0.5], ref.energy, ref.z_star)
+    assert len(runs) == 2
+    assert sum(steps for _, _, steps in runs) <= 90
+
+
+def test_sweep_falls_back_to_all_ones_start(decoupled, decoupled_min,
+                                            monkeypatch):
+    """A pinned n_max = 4 far below ||z||^2 / eps (about 2500 at
+    eps = 1e-4): every coherent coefficient underflows, the first point
+    starts from the all-ones vector, and the sweep's energies match
+    all-ones solves of each point."""
+    eps_list = [1e-4, 5e-5]
+    basis = build_fock_basis(decoupled.n_modes, 4)
+    coeffs, _ = coherent_fock_coefficients(decoupled, basis, eps_list[0],
+                                           decoupled_min.z_star)
+    assert not np.any(coeffs)
+    solves = _spy_solves(monkeypatch)
+    rep = epsilon_sweep(decoupled, eps_list, decoupled_min.energy,
+                        decoupled_min.z_star, n_max=4)
+    monkeypatch.undo()
+    assert solves[0][1] is None and solves[1][1] is not None
+    for row in rep.rows:
+        energy, _ = ground_state_eps(decoupled, basis, row.epsilon)
         assert row.energy == pytest.approx(energy, abs=1e-10)
 
 
@@ -438,13 +581,14 @@ def test_sweep_preconditions_when_grid_within_fock_dimension(
     """G = 256, above DENSE_EIG_CUTOFF, on either side of G <= F: F = 4
     takes LOBPCG with the model's K_0 factor, built after K_0's own ground
     solve and without K_0's eigendecomposition, F = 256 takes LOBPCG with
-    the uncoupled inverse."""
+    the uncoupled inverse.  Either sweep first solves K_0's ground state,
+    the particle part of its zero-field start."""
     spec = two_particle_nelson(points=16)
     basis = build_fock_basis(spec.n_modes, n_max)
     ran = _spy_paths(monkeypatch)
     rep = epsilon_sweep(spec, [0.5], 0.0, field_z([0.0]), n_max=n_max)
     assert ran == (["lobpcg", solver] if n_max == 3
-                   else ["k0_eigh", solver])
+                   else ["lobpcg", "k0_eigh", solver])
     monkeypatch.undo()
     energy, _ = ground_energy_eps(assemble_h_eps(spec, basis, 0.5))
     assert rep.rows[0].energy == pytest.approx(energy, abs=1e-10)

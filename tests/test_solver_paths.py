@@ -401,6 +401,31 @@ def test_small_model_decomposes_k0_once(monkeypatch):
     assert decompositions == ["eigh"]
 
 
+def test_zero_field_start_decomposes_k0_once(monkeypatch):
+    """From its default zero field, alternating_minimize's first psi-step
+    is K_0's memoised ground pair (H_0 = K_0), not a second dense solve of
+    K_0; a sweep from the zero reference field starts from the same
+    pair.  One eigh of K_0 in all."""
+    spec = cosine_coupled_reference()  # G = 64, a fresh model
+    k0 = assemble_k0(spec).matrix.toarray().real
+    decompositions = []
+    eigh = minimize.scipy.linalg.eigh
+
+    def spy_eigh(a, b=None, *args, **kwargs):
+        if b is None and np.array_equal(a, k0):
+            decompositions.append("eigh")
+        return eigh(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(minimize.scipy.linalg, "eigh", spy_eigh)
+    qc = alternating_minimize(spec)
+    assert qc.converged
+    assert qc.energy_trace[0] == minimize._k0_ground(spec)[0]
+    assert decompositions == ["eigh"]
+    rep = epsilon_sweep(spec, [0.5], qc.energy, field_z([0.0]), n_max=3)
+    assert len(rep.rows) == 1
+    assert decompositions == ["eigh"]
+
+
 def test_failed_kept_factor_is_not_memoised(monkeypatch):
     """A kept factor that fails raises SolverError on every call that needs
     it, and the model solves once splu works again."""
