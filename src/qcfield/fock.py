@@ -263,15 +263,8 @@ def ground_state_eps(spec: ModelSpec, basis: FockBasis, epsilon: float,
     basis states, else the model's memoised K_0 factor applied to each of
     the F columns of the grid-major (G, F) vector, which factors nothing
     once the model's particle solves have built it.
-
-    A complex start on a real H_eps is rotated by the phase of its
-    largest entry and its real part kept, so that the solve stays in real
-    arithmetic.
     """
     h = assemble_h_eps(spec, basis, epsilon)
-    if np.iscomplexobj(start) and not np.any(h.data.imag):
-        top = start[np.argmax(np.abs(start))]
-        start = (start * (abs(top) / top)).real
     precond = k0_preconditioner(
         spec, dgamma(basis, spec.dispersion, epsilon).diagonal().real)
     return ground_energy_eps(h, preconditioner=precond, start=start)

@@ -201,17 +201,15 @@ def lowest_eigenpair(matrix: sp.spmatrix, preconditioner=None,
     Real arithmetic when every stored entry is real.  Dense eigh of the
     lowest pair up to DENSE_EIG_CUTOFF.  Above it, the in-house LOBPCG with
     block size 1 (_lobpcg) from start, by default the normalized all-ones
-    vector, so the result is deterministic.  LOBPCG iterates in the
-    start's type as well as H's: a complex start on a real H runs in
-    complex arithmetic (fock.ground_state_eps makes such starts real).
-    The preconditioner is a callable that applies a positive definite
-    approximation of (H - sigma)^-1, sigma below the spectrum, to an (n,)
-    vector and returns a new array; it is applied on the LOBPCG path
-    alone.  Without one the
-    solve builds its own: the sparse LU of H - sigma_G, sigma_G just below
-    the Gershgorin interval, which costs a factor of the whole operator
-    (small when H is banded, large when its band is wide); a complex start
-    on a real H is solved by real and imaginary part.  The residual
+    vector, so the result is deterministic.  A complex start on a real H
+    is rotated by the phase of its largest entry and its real part kept,
+    so every iterate is real too.  The preconditioner is a callable that
+    applies a positive definite approximation of (H - sigma)^-1, sigma
+    below the spectrum, to an (n,) vector and returns a new array; it is
+    applied on the LOBPCG path alone.  Without one the solve builds its
+    own: the sparse LU of H - sigma_G, sigma_G just below the Gershgorin
+    interval, which costs a factor of the whole operator (small when H is
+    banded, large when its band is wide).  The residual
     ||H v - e v|| is checked on the matrix as given, against
     EIG_RESIDUAL_TOL * max(1, ||H||_G / RESIDUAL_NORM_SCALE) with ||H||_G
     the larger end of the Gershgorin interval: round-off in H v grows with
@@ -232,9 +230,12 @@ def lowest_eigenpair(matrix: sp.spmatrix, preconditioner=None,
     else:
         interval = _gershgorin_interval(work)
         if preconditioner is None:
-            lu = _shift_invert(work, _shift_below_spectrum(*interval))
-            preconditioner = _real_factor_solve(lu, n) if real else lu.solve
+            preconditioner = _shift_invert(
+                work, _shift_below_spectrum(*interval)).solve
         x0 = np.ones(n) if start is None else start
+        if real and np.iscomplexobj(x0):
+            top = x0[np.argmax(np.abs(x0))]
+            x0 = (x0 * (abs(top) / top)).real
         x0 = x0 / np.linalg.norm(x0)
         e0, v0 = _lobpcg(work, x0, preconditioner,
                          0.5 * _residual_bound(*interval))
@@ -261,13 +262,13 @@ def ground_eigenpair(op: ParticleOperator, preconditioner=None,
 
 
 def _k0_eigh(spec: ModelSpec):
-    """Dense eigh of K_0, memoised on the spec beside assemble_k0's K_0;
-    real eigenvectors when K_0 is real.  Both arrays are read-only."""
+    """Dense eigh of the real K_0 (LAPACK's divide-and-conquer driver, about
+    twice as fast as the default on a full decomposition), memoised on the
+    spec beside assemble_k0's K_0.  Both arrays are read-only."""
     eig = spec.__dict__.get("_k0_eigh")
     if eig is None:
-        k0 = assemble_k0(spec).matrix.toarray()
         eig = spec.__dict__["_k0_eigh"] = scipy.linalg.eigh(
-            k0 if np.any(k0.imag) else k0.real)
+            assemble_k0(spec).matrix.real.toarray(), driver="evd")
         for arr in eig:
             arr.flags.writeable = False
     return eig
@@ -307,21 +308,6 @@ def _k0_factor(spec: ModelSpec):
     return lu
 
 
-def _real_factor_solve(lu, rows: int):
-    """The solve of a real LU factor applied to each column of a (rows, m)
-    block given in any shape with rows m entries; a complex block's real
-    and imaginary parts are solved as 2m columns in one call."""
-    def solve(x):
-        block = x.reshape(rows, -1)
-        if not np.iscomplexobj(block):
-            return lu.solve(block).reshape(x.shape)
-        m = block.shape[1]
-        y = lu.solve(np.hstack([block.real, block.imag]))
-        return (y[:, :m] + 1j * y[:, m:]).reshape(x.shape)
-
-    return solve
-
-
 def k0_preconditioner(spec: ModelSpec, shifts: np.ndarray | None = None):
     """(K_0 (x) 1 + 1 (x) diag(shifts) - sigma)^-1, sigma = lambda_0(K_0) -
     PRECONDITIONER_MARGIN, applied to a grid-major (G, m) block given in
@@ -331,38 +317,41 @@ def k0_preconditioner(spec: ModelSpec, shifts: np.ndarray | None = None):
     pekar_minimize pass none.
 
     When G <= max(len(shifts), DENSE_EIG_CUTOFF) it is exact in K_0's
-    memoised eigenbasis U (_k0_eigh): U^dag x, a multiply by the
-    precomputed 1 / (lambda_g + shift_f - sigma), and U times the result.
-    A real U (K_0 real) is applied to a complex block viewed as real
-    (re, im) column pairs, two real matrix products rather than complex
-    ones.  With G <= F the eigh (G^3 flops) costs at most one application
-    (2 G^2 F).  Otherwise it is the model's memoised LU of the real
-    K_0 - sigma (_k0_factor, SolverError if that fails) on each column,
-    and the shifts are dropped.
+    memoised eigenbasis U (_k0_eigh): U^T x, a multiply by the precomputed
+    1 / (lambda_g + shift_f - sigma), and U times the result.  With G <= F
+    the eigh (G^3 flops) costs at most one application (2 G^2 F).
+    Otherwise it is the model's memoised LU of the real K_0 - sigma
+    (_k0_factor, SolverError if that fails) on each column, and the shifts
+    are dropped.  K_0 is real, so either is applied to a complex block
+    viewed as real (re, im) column pairs, in real arithmetic.
     """
     g = spec.grid.total_points
     if g > max(0 if shifts is None else len(shifts), DENSE_EIG_CUTOFF):
-        return _real_factor_solve(_k0_factor(spec), g)
-    vals, vecs = _k0_eigh(spec)
-    denom = vals - (vals[0] - PRECONDITIONER_MARGIN)
-    if shifts is not None:
-        denom = denom[:, None] + shifts  # (G, F)
-    recip = 1.0 / denom.reshape(g, -1, 1)
-    # recip twice along the last axis: multiplies a trailing pair (such as
-    # a complex entry's (re, im)) without a slow broadcast
-    recip_pair = np.repeat(recip, 2, axis=2)
-    real = not np.iscomplexobj(vecs)
-    vecs_h = vecs.T if real else vecs.conj().T
+        solve = _k0_factor(spec).solve
+    else:
+        vals, vecs = _k0_eigh(spec)
+        denom = vals - (vals[0] - PRECONDITIONER_MARGIN)
+        if shifts is not None:
+            denom = denom[:, None] + shifts  # (G, F)
+        recip = 1.0 / denom.reshape(g, -1, 1)
+        # recip twice along the last axis: multiplies a trailing pair (such
+        # as a complex entry's (re, im)) without a slow broadcast
+        recip_pair = np.repeat(recip, 2, axis=2)
+
+        def solve(block):
+            y = (vecs.T @ block).reshape(g, recip.shape[1], -1)
+            y *= recip_pair if y.shape[2] == 2 else recip
+            return vecs @ y.reshape(g, -1)
 
     def apply(x):
         block = np.ascontiguousarray(x).reshape(g, -1)
-        pairs = real and np.iscomplexobj(block)
-        if pairs:  # real U: one real product on (re, im) column pairs
+        pairs = np.iscomplexobj(block)
+        if pairs:
             block = block.view(np.float64)
-        y = (vecs_h @ block).reshape(g, recip.shape[1], -1)
-        y *= recip_pair if y.shape[2] == 2 else recip
-        y = vecs @ y.reshape(g, -1)
-        return (y.view(np.complex128) if pairs else y).reshape(x.shape)
+        y = solve(block)
+        if pairs:
+            y = np.ascontiguousarray(y).view(np.complex128)
+        return y.reshape(x.shape)
 
     return apply
 

@@ -11,7 +11,8 @@ by minimize.k0_preconditioner: exact in K_0's memoised eigenbasis when the
 grid has G <= max(F, DENSE_EIG_CUTOFF) points, else the model's one
 memoised K_0 factor.  The last tests count K_0's decompositions (one eigh
 on a small grid, at most two factors on a large one) and check the
-warm-started particle steps against bare solves.
+warm-started particle steps against bare solves and their arithmetic: a
+complex start on a real operator is solved in real arithmetic.
 """
 
 import warnings
@@ -171,8 +172,8 @@ def test_shift_invert_real_box_ground(box_2048, paths):
 
 
 def test_complex_start_on_real_operator(box_2048):
-    """A bare solve of a real operator from a complex start: the real
-    factor solves the residual's real and imaginary parts."""
+    """A bare solve of a real operator from a complex start: the start is
+    rotated by the phase of its largest entry and its real part kept."""
     e0, _ = ground_eigenpair(box_2048)
     start = np.ones(box_2048.dim) + 1j * np.linspace(0.0, 1.0, box_2048.dim)
     e1, _ = ground_eigenpair(box_2048, start=start)
@@ -479,3 +480,38 @@ def test_warm_started_steps_land_on_ground_state(model, monkeypatch):
         assert np.array_equal(again.energy_trace, first.energy_trace)
         assert np.array_equal(again.psi_star.values, first.psi_star.values)
         assert np.array_equal(again.eta_star.values, first.eta_star.values)
+
+
+@pytest.fixture
+def lobpcg_dtypes(monkeypatch):
+    """(operator dtype, start dtype) of each _lobpcg run during the test."""
+    ran = []
+    lobpcg = minimize._lobpcg
+
+    def spy(work, start, *args, **kwargs):
+        ran.append((work.dtype, start.dtype))
+        return lobpcg(work, start, *args, **kwargs)
+
+    monkeypatch.setattr(minimize, "_lobpcg", spy)
+    return ran
+
+
+@pytest.mark.parametrize("model", sorted(WARM_MODELS))
+def test_warm_started_steps_run_in_operator_arithmetic(model, lobpcg_dtypes):
+    """The psi-steps of alternating_minimize start from complex wave
+    functions; on a real H_z each LOBPCG run is still real throughout.  The
+    first run is K_0's ground state, real on every model; the H_z steps
+    of the minimal-coupling model stay complex."""
+    spec = WARM_MODELS[model]()
+    alternating_minimize(spec, seed=3)
+    real, cplx = (np.float64, np.float64), (np.complex128, np.complex128)
+    assert len(lobpcg_dtypes) > 1
+    assert lobpcg_dtypes[0] == real
+    expected = cplx if model == "minimal_1200" else real
+    assert all(run == expected for run in lobpcg_dtypes[1:])
+
+
+def test_bare_solve_makes_complex_start_real(box_2048, lobpcg_dtypes):
+    start = np.ones(box_2048.dim) + 1j * np.linspace(0.0, 1.0, box_2048.dim)
+    ground_eigenpair(box_2048, start=start)
+    assert lobpcg_dtypes == [(np.float64, np.float64)]
