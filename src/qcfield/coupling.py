@@ -31,6 +31,7 @@ from operator import add
 import numpy as np
 
 from .errors import SolverError
+from .model import grid_inner
 from .pekar import eta_pekar, kernel_convolve
 from .qc_energy import (assemble_hz, assemble_k0, coupling_expectation,
                         eta_to_z, hz_pattern)
@@ -68,9 +69,9 @@ class LinearCoupling:
         and its unconstrained gradient (K_0 + 2 V_kernel * |psi|^2) psi."""
         density = np.abs(psi.values) ** 2 * spec.grid.measure
         conv = kernel_convolve(spec, density)
-        k0 = assemble_k0(spec)
-        return (k0.expectation(psi) + float(density @ conv),
-                k0.apply(psi.values) + 2.0 * conv * psi.values)
+        k0_psi = assemble_k0(spec).matrix @ psi.values
+        return (float(grid_inner(spec.grid, psi.values, k0_psi).real)
+                + float(density @ conv), k0_psi + 2.0 * conv * psi.values)
 
     def kernel_value(self, spec, psi):
         """The reduced energy by the kernel route; pekar_energy checks it
@@ -155,8 +156,9 @@ class MinimalCoupling:
         at the solved field the field equation holds, so by the envelope
         identity the field's psi-dependence drops out."""
         op = assemble_hz(spec, eta_to_z(eta_pekar(spec, psi), spec.dispersion))
-        return (op.expectation(psi),
-                op.apply(psi.values) + op.constant_offset * psi.values)
+        h_psi = op.matrix @ psi.values
+        return (float(grid_inner(spec.grid, psi.values, h_psi).real)
+                + op.constant_offset, h_psi + op.constant_offset * psi.values)
 
     def kernel_value(self, spec, psi):
         """None: eliminating a minimally coupled field leaves no kernel."""

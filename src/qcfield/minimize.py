@@ -18,7 +18,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import SolverError
-from .model import ModelSpec, grid_inner, grid_norm, is_trapping, mode_norm
+from .model import (ModelSpec, grid_inner, grid_norm, is_trapping, mode_norm,
+                    per_model)
 from .pekar import eta_pekar, pekar_energy
 from .qc_energy import (ELResiduals, FieldAmplitudes, ParticleOperator,
                         WaveFunction, assemble_hz, assemble_k0,
@@ -261,51 +262,45 @@ def ground_eigenpair(op: ParticleOperator, preconditioner=None,
     return e0, WaveFunction.normalized(v0, op.grid)
 
 
+@per_model
 def _k0_eigh(spec: ModelSpec):
     """Dense eigh of the real K_0 (LAPACK's divide-and-conquer driver, about
-    twice as fast as the default on a full decomposition), memoised on the
-    spec beside assemble_k0's K_0.  Both arrays are read-only."""
-    eig = spec.__dict__.get("_k0_eigh")
-    if eig is None:
-        eig = spec.__dict__["_k0_eigh"] = scipy.linalg.eigh(
-            assemble_k0(spec).matrix.real.toarray(), driver="evd")
-        for arr in eig:
-            arr.flags.writeable = False
+    twice as fast as the default on a full decomposition), built once per
+    model (model.per_model).  Both arrays are read-only."""
+    eig = scipy.linalg.eigh(assemble_k0(spec).matrix.real.toarray(),
+                            driver="evd")
+    for arr in eig:
+        arr.flags.writeable = False
     return eig
 
 
+@per_model
 def _k0_ground(spec: ModelSpec):
-    """K_0's ground pair (lambda_0, psi_0), memoised on the spec beside
-    assemble_k0's K_0; psi_0's values are read-only.
+    """K_0's ground pair (lambda_0, psi_0), built once per model
+    (model.per_model); psi_0's values are read-only.
 
     Up to DENSE_EIG_CUTOFF grid points it is column 0 of _k0_eigh, phase
     fixed and normalized on the grid, so a small model's K_0 is decomposed
     once and never factored; above it, a bare ground_eigenpair of K_0.
     """
-    ground = spec.__dict__.get("_k0_ground")
-    if ground is None:
-        if spec.grid.total_points <= DENSE_EIG_CUTOFF:
-            vals, vecs = _k0_eigh(spec)
-            lam0, psi0 = float(vals[0]), WaveFunction.normalized(
-                _fix_phase(vecs[:, 0]), spec.grid)
-        else:
-            lam0, psi0 = ground_eigenpair(assemble_k0(spec))
-        psi0.values.flags.writeable = False
-        ground = spec.__dict__["_k0_ground"] = (lam0, psi0)
-    return ground
+    if spec.grid.total_points <= DENSE_EIG_CUTOFF:
+        vals, vecs = _k0_eigh(spec)
+        lam0, psi0 = float(vals[0]), WaveFunction.normalized(
+            _fix_phase(vecs[:, 0]), spec.grid)
+    else:
+        lam0, psi0 = ground_eigenpair(assemble_k0(spec))
+    psi0.values.flags.writeable = False
+    return lam0, psi0
 
 
+@per_model
 def _k0_factor(spec: ModelSpec):
     """Sparse LU of the real K_0 - sigma, sigma = lambda_0 -
-    PRECONDITIONER_MARGIN, memoised on the spec as _k0_ground is; only its
+    PRECONDITIONER_MARGIN, built once per model (model.per_model); only its
     solve is called, which leaves it unchanged.  A failed factorization
-    raises SolverError and memoises nothing."""
-    lu = spec.__dict__.get("_k0_factor")
-    if lu is None:
-        sigma = _k0_ground(spec)[0] - PRECONDITIONER_MARGIN
-        lu = spec.__dict__["_k0_factor"] = _shift_invert(
-            assemble_k0(spec).matrix.real, sigma)
-    return lu
+    raises SolverError and keeps nothing."""
+    sigma = _k0_ground(spec)[0] - PRECONDITIONER_MARGIN
+    return _shift_invert(assemble_k0(spec).matrix.real, sigma)
 
 
 def k0_preconditioner(spec: ModelSpec, shifts: np.ndarray | None = None):
@@ -463,10 +458,8 @@ def alternating_minimize(spec: ModelSpec,
         eta = eta_pekar(spec, psi)
         z = eta_to_z(eta, spec.dispersion)
         op = assemble_hz(spec, z)
-        e_eta_step = op.expectation(psi)
+        e_eta_step, res = _el_residuals(spec, op, psi, z)
         trace.append(e_eta_step)
-
-        res = _el_residuals(spec, op, psi, z)
         rows.append((it, e_eta_step, res.psi_residual, res.field_residual))
         reference = energy if np.isfinite(energy) else e_psi_step
         decrement = reference - e_eta_step

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Sequence
 
 import numpy as np
@@ -402,6 +402,20 @@ class ModelSpec:
         if self.family == "pauli_fierz":
             return 1.0 / (2.0 * self.mass_of(particle))
         return 1.0
+
+
+def per_model(build):
+    """Decorator: build(spec) once per model and keep the result on the
+    frozen spec, as functools.cached_property does; raising keeps nothing."""
+    key = f"{build.__module__}.{build.__qualname__}"
+
+    @wraps(build)
+    def memoised(spec: ModelSpec):
+        if key not in spec.__dict__:
+            spec.__dict__[key] = build(spec)
+        return spec.__dict__[key]
+
+    return memoised
 
 
 def make_model(family: str, grid: ParticleGrid, modes: FieldModes,

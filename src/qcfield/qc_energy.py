@@ -6,10 +6,10 @@ For a field configuration z the particle feels
 
 with a_z(x) = 2 Re <z|lambda(x)> and the interaction of the model's coupling
 (qcfield.coupling): the potential sum_i a_z(x_i) for linear coupling, the
-first-order minimal-coupling operator for the vector family.  Every H_z of
-a model is built on one memoised sparsity pattern (hz_pattern).  The energy
-qc_energy(psi, z) = <psi|H_z|psi> and its eta-gauge variant (eta = omega^(1/2) z)
-drive everything downstream.
+first-order minimal-coupling operator for the vector family.  K_0 and every
+H_z of a model are built on one memoised sparsity pattern (hz_pattern).  The
+energy qc_energy(psi, z) = <psi|H_z|psi> and its eta-gauge variant
+(eta = omega^(1/2) z) drive everything downstream.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import scipy.sparse as sp
 
 from .errors import GaugeError, NormalizationError
 from .model import (Dispersion, ModelSpec, ParticleGrid, grid_inner,
-                    grid_norm)
+                    grid_norm, per_model)
 
 NORM_TOL = 1e-10
 
@@ -137,9 +137,6 @@ class ParticleOperator:
         val = grid_inner(self.grid, psi.values, self.matrix @ psi.values)
         return float(val.real) + self.constant_offset
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return self.matrix @ values
-
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
@@ -180,22 +177,14 @@ def momentum_matrix(grid: ParticleGrid, particle: int) -> sp.csr_matrix:
     return grid.lift_axis(mom1d, particle)
 
 
+@per_model
 def assemble_k0(spec: ModelSpec) -> ParticleOperator:
-    """Free particle Hamiltonian: Dirichlet Laplacian plus external potential.
-
-    K_0 depends on the frozen spec alone, so it is built on the first call
-    and memoised on the spec, as functools.cached_property memoises; callers
-    share the one operator, whose data, indices and indptr are read-only.
-    """
-    k0 = spec.__dict__.get("_k0")
-    if k0 is None:
-        mat = (kinetic_matrix(spec) + sp.diags(
-            spec.external_potential.astype(complex), format="csr")).tocsr()
-        for arr in (mat.data, mat.indices, mat.indptr):
-            arr.flags.writeable = False
-        k0 = spec.__dict__["_k0"] = ParticleOperator(matrix=mat,
-                                                     grid=spec.grid)
-    return k0
+    """Free particle Hamiltonian: Dirichlet Laplacian plus external potential,
+    built once per model (model.per_model) as hz_pattern's k0_data on H_z's
+    pattern.  K_0 and every H_z share one read-only indices and indptr, and
+    K_0's data is read-only too."""
+    pattern = hz_pattern(spec)
+    return ParticleOperator(pattern.csr(pattern.k0_data), spec.grid)
 
 
 def box_ground_energy(grid: ParticleGrid) -> float:
@@ -232,13 +221,13 @@ def effective_potential(spec: ModelSpec, z: FieldAmplitudes,
 
 @dataclass(frozen=True, eq=False)
 class HzPattern:
-    """The CSR sparsity pattern every H_z of a model is built on: the union
-    of K_0's entries, the diagonal and each particle's momentum P_p, with
-    sorted indices.  k0_data and momentum hold K_0 and each P_p on it;
-    diagonal and rows give the position of each (i, i) entry and the row
-    of each entry.  Every array is read-only: indices and indptr are shared
-    by every H_z, so an in-place scipy call on one raises instead of
-    corrupting the next build."""
+    """The CSR sparsity pattern K_0 and every H_z of a model are built on:
+    the union of the Laplacian's entries, the diagonal and each particle's
+    momentum P_p, with sorted indices.  k0_data and momentum hold K_0 and
+    each P_p on it; diagonal and rows give the position of each (i, i) entry
+    and the row of each entry.  Every array is read-only: indices and indptr
+    are shared by K_0 and every H_z, so an in-place scipy call on one raises
+    instead of corrupting the next build."""
 
     indices: np.ndarray
     indptr: np.ndarray
@@ -253,39 +242,39 @@ class HzPattern:
         return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
 
 
+@per_model
 def hz_pattern(spec: ModelSpec) -> HzPattern:
-    """H_z's sparsity pattern, memoised on the spec as assemble_k0 is."""
-    pattern = spec.__dict__.get("_hz_pattern")
-    if pattern is None:
-        grid = spec.grid
-        n = grid.total_points
-        k0 = assemble_k0(spec).matrix
-        moms = [momentum_matrix(grid, p) for p in range(grid.n_particles)]
+    """H_z's sparsity pattern, with K_0 (the Laplacian plus the external
+    potential) and each P_p as data on it; built once per model
+    (model.per_model)."""
+    grid = spec.grid
+    n = grid.total_points
+    k0 = kinetic_matrix(spec) + sp.diags(spec.external_potential)
+    moms = [momentum_matrix(grid, p) for p in range(grid.n_particles)]
 
-        def keys(mat):  # row-major position of each stored entry
-            coo = mat.tocoo()
-            return coo.row.astype(np.int64) * n + coo.col
+    def keys(mat):  # row-major position of each stored entry
+        coo = mat.tocoo()
+        return coo.row.astype(np.int64) * n + coo.col
 
-        def on_pattern(mat):
-            data = np.zeros(union.size, dtype=complex)
-            data[np.searchsorted(union, keys(mat))] = mat.data
-            return data
+    def on_pattern(mat):
+        data = np.zeros(union.size, dtype=complex)
+        data[np.searchsorted(union, keys(mat))] = mat.data
+        return data
 
-        diag_keys = np.arange(n, dtype=np.int64) * (n + 1)
-        union = np.unique(np.concatenate([keys(k0), diag_keys]
-                                         + [keys(m) for m in moms]))
-        rows, cols = np.divmod(union, n)
-        # scipy picks the index dtype of the arrays every H_z shares
-        layout = sp.csr_matrix((np.zeros(union.size), (rows, cols)),
-                               shape=(n, n))
-        pattern = spec.__dict__["_hz_pattern"] = HzPattern(
-            indices=layout.indices, indptr=layout.indptr, rows=rows,
-            diagonal=np.searchsorted(union, diag_keys),
-            k0_data=on_pattern(k0),
-            momentum=tuple(on_pattern(m) for m in moms))
-        for arr in (pattern.indices, pattern.indptr, pattern.rows,
-                    pattern.diagonal, pattern.k0_data, *pattern.momentum):
-            arr.flags.writeable = False
+    diag_keys = np.arange(n, dtype=np.int64) * (n + 1)
+    union = np.unique(np.concatenate([keys(k0), diag_keys]
+                                     + [keys(m) for m in moms]))
+    rows, cols = np.divmod(union, n)
+    # scipy picks the index dtype of the arrays K_0 and every H_z share
+    layout = sp.csr_matrix((np.zeros(union.size), (rows, cols)),
+                           shape=(n, n))
+    pattern = HzPattern(
+        indices=layout.indices, indptr=layout.indptr, rows=rows,
+        diagonal=np.searchsorted(union, diag_keys), k0_data=on_pattern(k0),
+        momentum=tuple(on_pattern(m) for m in moms))
+    for arr in (pattern.indices, pattern.indptr, pattern.rows,
+                pattern.diagonal, pattern.k0_data, *pattern.momentum):
+        arr.flags.writeable = False
     return pattern
 
 
@@ -369,17 +358,18 @@ def el_residual(spec: ModelSpec, psi: WaveFunction,
     omega z + sqrt(omega) (b + T eta), the field's Euler-Lagrange vector.
     """
     psi.require_normalized()
-    return _el_residuals(spec, assemble_hz(spec, z), psi, z)
+    return _el_residuals(spec, assemble_hz(spec, z), psi, z)[1]
 
 
 def _el_residuals(spec: ModelSpec, op: ParticleOperator, psi: WaveFunction,
-                  z: FieldAmplitudes) -> ELResiduals:
-    """el_residual with H_z given as op (already built at z)."""
-    h_psi = op.apply(psi.values)
+                  z: FieldAmplitudes) -> tuple[float, ELResiduals]:
+    """op.expectation(psi) and el_residual, with H_z given as op (already
+    built at z) and applied to psi once."""
+    h_psi = op.matrix @ psi.values
     eps = grid_inner(spec.grid, psi.values, h_psi).real
     psi_res = grid_norm(spec.grid, h_psi - eps * psi.values)
     r = _el_field_vector(spec, psi, z)
     w = spec.modes.weights
     om = spec.dispersion.values
     field_res = float(np.sqrt(np.sum(w * om * np.abs(r) ** 2)))
-    return ELResiduals(psi_residual=psi_res, field_residual=field_res)
+    return float(eps) + op.constant_offset, ELResiduals(psi_res, field_res)

@@ -2,6 +2,7 @@
 its sparse interaction, the safety of the shared pattern, and that the
 operators under H_z are built once per model."""
 
+import ast
 import importlib
 from pathlib import Path
 
@@ -14,12 +15,15 @@ from qcfield import (assemble_hz, assemble_k0, build_dispersion,
                      eta_pekar, field_z, load_model, make_model, minimize,
                      nelson_form_factor, pauli_fierz_form_factor, presets,
                      random_wavefunction)
+from qcfield.errors import SolverError
+from qcfield.model import per_model
 from qcfield.qc_energy import (complex_normal, effective_potential,
-                               hz_pattern, momentum_matrix)
+                               hz_pattern, kinetic_matrix, momentum_matrix)
 
 # the module: qcfield re-exports its qc_energy function under the same name
 qce = importlib.import_module("qcfield.qc_energy")
 DEMO_MODELS = Path(__file__).resolve().parent.parent / "demos" / "models"
+SRC = Path(__file__).resolve().parent.parent / "src" / "qcfield"
 
 
 def _band(mat):
@@ -202,3 +206,78 @@ def test_pattern_momentum_applies_bit_identically(make):
             expected = momentum_matrix(spec.grid, p) @ psi.values
             got = pattern.csr(pattern.momentum[p]) @ psi.values
             assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_k0_is_built_on_the_hz_pattern(name):
+    """K_0 is the pattern's k0_data on the pattern's own indptr and indices
+    (scipy's constructor keeps a view of indices, so its memory is checked),
+    and equals the Laplacian plus the potential bit for bit."""
+    spec = MODELS[name]()
+    k0 = assemble_k0(spec).matrix
+    pattern = hz_pattern(spec)
+    assert k0.indptr is pattern.indptr
+    assert np.shares_memory(k0.indices, pattern.indices)
+    assert np.array_equal(k0.indices, pattern.indices)
+    assert np.shares_memory(k0.data, pattern.k0_data)
+    hz = assemble_hz(spec, seeded_field(spec, 1)).matrix
+    assert hz.indptr is k0.indptr
+    assert np.shares_memory(hz.indices, k0.indices)
+    expected = kinetic_matrix(spec) + sp.diags(
+        spec.external_potential.astype(complex), format="csr")
+    assert k0.toarray().tobytes() == expected.toarray().tobytes()
+
+
+def test_per_model_builders_return_the_same_object():
+    spec = presets.small_polaron()
+    for build in (assemble_k0, hz_pattern, minimize._k0_eigh,
+                  minimize._k0_ground, minimize._k0_factor):
+        assert build(spec) is build(spec)
+
+
+def test_per_model_keeps_nothing_from_a_failed_build():
+    spec = presets.small_polaron()
+    builds = []
+
+    @per_model
+    def flaky(spec):
+        builds.append(spec)
+        if len(builds) == 1:
+            raise SolverError("the first build fails")
+        return object()
+
+    before = dict(vars(spec))
+    with pytest.raises(SolverError):
+        flaky(spec)
+    assert vars(spec) == before
+    built = flaky(spec)
+    assert flaky(spec) is built
+    assert len(builds) == 2
+
+
+def _functions(tree):
+    """(qualified name, first line, last line) of every top-level function
+    and method of a module."""
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else [node]
+        prefix = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+        for item in members:
+            if isinstance(item, ast.FunctionDef):
+                yield f"{prefix}{item.name}", item.lineno, item.end_lineno
+
+
+def test_only_per_model_memoises_on_the_spec():
+    """A per-model memo goes through model.per_model: __dict__ appears in
+    the package only there and in FockBasis.leading_block, which seeds the
+    cut basis's lowering index."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        functions = list(_functions(ast.parse(text)))
+        for lineno, line in enumerate(text.splitlines(), 1):
+            if "__dict__" in line:
+                found.add((path.name, next(
+                    (name for name, first, last in functions
+                     if first <= lineno <= last), None)))
+    assert found == {("model.py", "per_model"),
+                     ("fock.py", "FockBasis.leading_block")}

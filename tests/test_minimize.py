@@ -258,3 +258,13 @@ def test_equivalence_zero_coupling():
     rep = equivalence_check(spec, tol=1e-10, n_starts=2, seed=1)
     assert rep.passes
     assert rep.gap <= 1e-12
+
+
+def test_equivalence_notes_a_non_trapping_potential(soliton):
+    """On a zero potential the report notes that only the Dirichlet walls
+    confine the particle, and the two routes still agree."""
+    spec = soliton(64)
+    assert not np.any(spec.external_potential)
+    rep = equivalence_check(spec)
+    assert any("not declared trapping" in note for note in rep.notes)
+    assert rep.passes

@@ -397,3 +397,11 @@ def test_polaron_splitting_norms(polaron_small):
     rep_hi = polaron_splitting(polaron_small, cutoff=3.0)
     assert rep_hi.low_norm >= rep.low_norm
     assert rep_hi.high_norm <= rep.high_norm
+
+
+def test_minimal_coupling_has_no_kernel_route(pf_small):
+    psi = random_wavefunction(pf_small.grid, np.random.default_rng(19))
+    reduced = pekar_energy(pf_small, psi)
+    assert reduced.kernel_value is None
+    assert reduced.value == qc_energy_eta(pf_small, psi,
+                                          eta_pekar(pf_small, psi))
