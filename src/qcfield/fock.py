@@ -25,7 +25,7 @@ from scipy.special import gammainc, gammaln
 
 from .errors import CapacityError, TruncationError
 from .minimize import field_ground, k0_preconditioner, lowest_eigenpair
-from .model import ModelSpec, mode_norm
+from .model import ModelSpec, mode_norm, per_model
 from .qc_energy import (FieldAmplitudes, WaveFunction, assemble_k0,
                         momentum_matrix, qc_energy)
 
@@ -150,9 +150,10 @@ def ladder_operators(basis: FockBasis, epsilon: float):
 
 
 def dgamma(basis: FockBasis, dispersion, epsilon: float) -> sp.csr_matrix:
-    """Second-quantized field energy: diagonal eps * sum_j omega_j n_j."""
+    """Second-quantized field energy: the real diagonal eps * sum_j
+    omega_j n_j."""
     diag = epsilon * (basis.states @ np.asarray(dispersion.values))
-    return sp.diags(diag.astype(complex), format="csr")
+    return sp.diags(diag, format="csr")
 
 
 def _check_capacity(dim: int) -> None:
@@ -215,25 +216,105 @@ def assemble_h_eps(spec: ModelSpec, basis: FockBasis,
                    epsilon: float) -> sp.csr_matrix:
     """Quantized Hamiltonian on the (particle grid) x (Fock basis) space:
     H_z's coupling interaction with the field quantized, A_p (x) a_j^dag,
-    each particle's field built in one pass by _field_operator."""
+    each particle's field built in one pass by _field_operator, in the
+    model's own modes.  Real (float64) when K_0 and every coupling table
+    are real, as under linear coupling on real tables."""
+    _check_capacity(spec.grid.total_points * basis.dim)
+    return _assemble_h_eps(spec, basis, epsilon, spec.form_factor.tables,
+                           np.sqrt(spec.modes.weights))
+
+
+def _assemble_h_eps(spec: ModelSpec, basis: FockBasis, epsilon: float,
+                    tables, sqw: np.ndarray) -> sp.csr_matrix:
+    """assemble_h_eps with mode j's field sqw_j (tables[p][:, j] a_j^dag +
+    h.c.) for particle p: the model's tables and sqrt(w), or the real mode
+    frame's (_frame_tables).  Built in float64 when K_0 and every table
+    are real, else in complex128; K_0's stored zeros are dropped before
+    its Kronecker product, which would repeat each F times."""
     grid = spec.grid
-    _check_capacity(grid.total_points * basis.dim)
     k0 = assemble_k0(spec).matrix
-    eye_f = sp.identity(basis.dim, format="csr", dtype=complex)
-    eye_g = sp.identity(grid.total_points, format="csr", dtype=complex)
+    real = not (np.any(k0.data.imag) or any(np.any(t.imag) for t in tables))
+    dtype = float if real else complex
+    if real:
+        k0, tables = k0.real, [t.real for t in tables]
+    k0 = sp.csr_matrix(k0, copy=True)  # the memoised K_0 is read-only
+    k0.eliminate_zeros()
+    eye_f = sp.identity(basis.dim, format="csr", dtype=dtype)
+    eye_g = sp.identity(grid.total_points, format="csr", dtype=dtype)
     h = sp.kron(k0, eye_f, format="csr") \
         + sp.kron(eye_g, dgamma(basis, spec.dispersion, epsilon), format="csr")
-    sqw = np.sqrt(spec.modes.weights)
     hopping = _hopping(basis)
 
     def field(p):
-        lifted = grid.lift_single(spec.form_factor.tables[p], p)
-        return _field_operator(hopping, lifted.astype(complex), sqw, epsilon)
+        lifted = grid.lift_single(tables[p], p)
+        return _field_operator(hopping, lifted.astype(dtype), sqw, epsilon)
 
     def momentum(p):
         return sp.kron(momentum_matrix(grid, p), eye_f, format="csr")
 
     return (h + spec.coupling.interaction(spec, field, momentum)).tocsr()
+
+
+@per_model
+def _real_mode_frame(spec: ModelSpec) -> np.ndarray | None:
+    """A K x K unitary V such that the rotated modes b = V^T a couple
+    through real tables, or None when no mode group needs and admits one;
+    built once per model (model.per_model).
+
+    V mixes only modes of equal omega_j, so it keeps dGamma and the total
+    occupation of every basis state: the truncated H_eps, its spectrum,
+    every cutoff and every shell's mass are the same in both frames.
+    Per group g of equal omega, Lambda_g stacks every particle's table
+    scaled by sqrt(w_j), and S solves Lambda_g S = conj(Lambda_g) (least
+    squares); it exists when the table is closed under conjugation, as
+    the plane waves of a +-k lattice are.  A symmetric unitary S has
+    commuting real and imaginary parts, so one real orthogonal Q
+    diagonalises both, S = Q diag(e^(i theta)) Q^T, and V_g = Q diag(e^(i
+    theta / 2)) has V_g V_g^T = S: Lambda_g V_g is real.  Q is the
+    eigenbasis of Re S + Im S / pi, whose eigenvalues cos theta + sin
+    theta / pi keep S's apart unless two angles sum to 2 atan(1 / pi).
+    A group is rotated only when S is symmetric and unitary to 64 eps_mach
+    per mode and max |Im(Lambda_g V_g)| <= 64 eps_mach max |Lambda_g|;
+    a real group, or one that fails, stays unrotated.
+    """
+    lam = np.vstack(spec.form_factor.tables) * np.sqrt(spec.modes.weights)
+    omega = spec.dispersion.values
+    tiny = 64 * np.finfo(float).eps
+    v = np.eye(spec.n_modes, dtype=complex)
+    rotated = False
+    for value in np.unique(omega):
+        g = np.flatnonzero(omega == value)
+        lam_g = lam[:, g]
+        if not np.any(lam_g.imag):
+            continue
+        s = np.linalg.lstsq(lam_g, lam_g.conj(), rcond=None)[0]
+        if (np.max(np.abs(s - s.T)) > tiny * g.size or np.max(np.abs(
+                s @ s.conj().T - np.eye(g.size))) > tiny * g.size):
+            continue
+        q = np.linalg.eigh(s.real + s.imag / np.pi)[1]
+        v_g = q * np.exp(0.5j * np.angle(np.einsum("ji,jk,ki->i", q, s, q)))
+        if np.max(np.abs((lam_g @ v_g).imag)) <= tiny * np.max(np.abs(lam_g)):
+            v[np.ix_(g, g)] = v_g
+            rotated = True
+    return v if rotated else None
+
+
+def _frame_tables(spec: ModelSpec):
+    """Each particle's table and the weight roots that scale it, in the
+    real mode frame: (sqrt(w_j) lambda_p) V with unit weights, its rotated
+    columns made exactly real; the model's tables and sqrt(w) when it has
+    no frame."""
+    sqw = np.sqrt(spec.modes.weights)
+    v = _real_mode_frame(spec)
+    if v is None:
+        return spec.form_factor.tables, sqw
+    rotated = np.any(v != np.eye(spec.n_modes), axis=0)
+    tables = []
+    for table in spec.form_factor.tables:
+        mu = (table * sqw) @ v
+        mu.imag[:, rotated] = 0.0
+        tables.append(mu)
+    return tables, np.ones_like(sqw)
 
 
 def ground_energy_eps(h: sp.spmatrix, preconditioner=None,
@@ -255,18 +336,25 @@ def ground_energy_eps(h: sp.spmatrix, preconditioner=None,
 def ground_state_eps(spec: ModelSpec, basis: FockBasis, epsilon: float,
                      start: np.ndarray | None = None):
     """Ground (energy, vector) of the quantized model at one eps: assembles
-    H_eps on the grid x basis space and solves it with ground_energy_eps
-    from start (all-ones by default), preconditioned by
+    H_eps on the grid x basis space in the model's real mode frame
+    (_real_mode_frame, built after the capacity check) and solves it with
+    ground_energy_eps from start (all-ones by default), preconditioned by
     k0_preconditioner(spec, shifts) with shifts dGamma's diagonal: the
     exact inverse of the uncoupled operator K_0 (x) 1 + 1 (x) dGamma -
     sigma when the grid has G <= max(F, DENSE_EIG_CUTOFF) points for F
     basis states, else the model's memoised K_0 factor applied to each of
     the F columns of the grid-major (G, F) vector, which factors nothing
     once the model's particle solves have built it.
+
+    The energy is the same in every frame.  The vector, and start, are in
+    the frame's occupation basis of the rotated modes b = V^T a; without
+    a frame that is the model's own.  In a real frame with a real K_0,
+    H_eps is float64 and so is every LOBPCG vector.
     """
-    h = assemble_h_eps(spec, basis, epsilon)
+    _check_capacity(spec.grid.total_points * basis.dim)
+    h = _assemble_h_eps(spec, basis, epsilon, *_frame_tables(spec))
     precond = k0_preconditioner(
-        spec, dgamma(basis, spec.dispersion, epsilon).diagonal().real)
+        spec, dgamma(basis, spec.dispersion, epsilon).diagonal())
     return ground_energy_eps(h, preconditioner=precond, start=start)
 
 
@@ -308,7 +396,14 @@ def coherent_fock_coefficients(spec: ModelSpec, basis: FockBasis,
     """Truncated expansion of the displaced vacuum with per-mode displacement
     sqrt(w_j) z_j / sqrt(eps); returns (coefficients, discarded tail mass)."""
     z.require_gauge("z")
-    alpha = np.sqrt(spec.modes.weights) * z.values / np.sqrt(epsilon)
+    return _coherent_coefficients(
+        basis, np.sqrt(spec.modes.weights) * z.values / np.sqrt(epsilon))
+
+
+def _coherent_coefficients(basis: FockBasis, alpha: np.ndarray):
+    """Truncated expansion of the coherent state with per-mode amplitude
+    alpha, a_j |alpha> = alpha_j |alpha>; returns (coefficients, discarded
+    tail mass)."""
     n = basis.states  # (dim, K)
     mag = np.abs(alpha)
     safe_log = np.where(mag > 0, np.log(np.where(mag > 0, mag, 1.0)), 0.0)
@@ -421,10 +516,16 @@ def epsilon_sweep(spec: ModelSpec, eps_list, e_qc_ref: float,
     solved by ground_state_eps; above the dense cutoff that is LOBPCG
     preconditioned by k0_preconditioner, which reads the model's memoised
     K_0 eigendecomposition or K_0 factor, built at most once per model.
+    ground_state_eps solves in the model's real mode frame
+    (_real_mode_frame), so every ground vector and start below is in the
+    occupation basis of the rotated modes b = V^T a; the frame keeps each
+    state's total occupation, so the energies, cutoffs and top-shell
+    masses of the report do not depend on it.
     The starts follow the classical limit, psi_ref (x) the coherent state
     of z_ref at eps, psi_ref the ground state of H_(z_ref)
     (minimize.field_ground).  The first point starts from that product,
-    truncated to its basis, or from the all-ones vector when every
+    with the frame's amplitudes V^T alpha (_coherent_start), truncated to
+    its basis, or from the all-ones vector when every
     coherent coefficient underflows.  Each later point starts from the
     previous ground vector padded with zeros and scaled by
     (eps_prev / eps)^(N_f / 2) on each basis state f of total occupation
@@ -471,10 +572,16 @@ def epsilon_sweep(spec: ModelSpec, eps_list, e_qc_ref: float,
 
 def _coherent_start(spec: ModelSpec, basis: FockBasis, epsilon: float,
                     z: FieldAmplitudes) -> np.ndarray | None:
-    """psi_z (x) the truncated coherent coefficients of z at epsilon, psi_z
-    the ground state of H_z, scaled by the largest coefficient; None (the
-    all-ones start) when every coefficient underflows to zero."""
-    coeffs, _ = coherent_fock_coefficients(spec, basis, epsilon, z)
+    """psi_z (x) the truncated coherent coefficients of z at epsilon in the
+    model's real mode frame, psi_z the ground state of H_z, scaled by the
+    largest coefficient; None (the all-ones start) when every coefficient
+    underflows to zero.  The frame's modes b = V^T a carry the amplitudes
+    alpha' = V^T alpha, alpha_j = sqrt(w_j) z_j / sqrt(eps)."""
+    z.require_gauge("z")
+    alpha = np.sqrt(spec.modes.weights) * z.values / np.sqrt(epsilon)
+    v = _real_mode_frame(spec)
+    coeffs, _ = _coherent_coefficients(
+        basis, alpha if v is None else v.T @ alpha)
     top = np.max(np.abs(coeffs))
     if top == 0.0:
         return None

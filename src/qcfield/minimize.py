@@ -199,7 +199,9 @@ def lowest_eigenpair(matrix: sp.spmatrix, preconditioner=None,
     Hermitian matrix; the one ground solver behind ground_eigenpair and
     fock.ground_energy_eps.
 
-    Real arithmetic when every stored entry is real.  Dense eigh of the
+    Real arithmetic when the matrix is real: a float64 matrix is used as
+    is, a complex one whose stored entries are all real is replaced by its
+    real part.  Dense eigh of the
     lowest pair up to DENSE_EIG_CUTOFF.  Above it, the in-house LOBPCG with
     block size 1 (_lobpcg) from start, by default the normalized all-ones
     vector, so the result is deterministic.  A complex start on a real H
@@ -222,8 +224,10 @@ def lowest_eigenpair(matrix: sp.spmatrix, preconditioner=None,
     """
     mat = matrix.tocsr()
     n = mat.shape[0]
-    real = not np.any(mat.data.imag)
-    work = mat.real if real else mat
+    work = mat
+    if np.iscomplexobj(mat.data) and not np.any(mat.data.imag):
+        work = mat.real
+    real = not np.iscomplexobj(work.data)
     interval = None  # computed at most once: it copies abs(mat)
     if n <= DENSE_EIG_CUTOFF:
         vals, vecs = scipy.linalg.eigh(work.toarray(), subset_by_index=[0, 0])

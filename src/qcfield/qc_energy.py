@@ -15,6 +15,7 @@ energy qc_energy(psi, z) = <psi|H_z|psi> and its eta-gauge variant
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -222,58 +223,75 @@ def effective_potential(spec: ModelSpec, z: FieldAmplitudes,
 @dataclass(frozen=True, eq=False)
 class HzPattern:
     """The CSR sparsity pattern K_0 and every H_z of a model are built on:
-    the union of the Laplacian's entries, the diagonal and each particle's
-    momentum P_p, with sorted indices.  k0_data and momentum hold K_0 and
-    each P_p on it; diagonal and rows give the position of each (i, i) entry
-    and the row of each entry.  Every array is read-only: indices and indptr
-    are shared by K_0 and every H_z, so an in-place scipy call on one raises
-    instead of corrupting the next build."""
+    the union of the Laplacian's entries and the diagonal, with sorted
+    indices; each particle's momentum P_p lies inside it.  k0_data holds
+    K_0 on it, and momentum each P_p, built on first use: only minimal
+    coupling reads it.  diagonal and rows give the position of each (i, i)
+    entry and the row of each entry.  Every array is read-only: indices
+    and indptr are shared by K_0 and every H_z, so an in-place scipy call
+    on one raises instead of corrupting the next build."""
 
     indices: np.ndarray
     indptr: np.ndarray
     rows: np.ndarray
     diagonal: np.ndarray
     k0_data: np.ndarray
-    momentum: tuple[np.ndarray, ...]
+    grid: ParticleGrid
 
     def csr(self, data: np.ndarray) -> sp.csr_matrix:
         """The matrix with the given data on this pattern."""
         n = self.indptr.size - 1
         return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
 
+    @cached_property
+    def momentum(self) -> tuple[np.ndarray, ...]:
+        """Each particle's P_p as read-only data on the pattern."""
+        n = self.indptr.size - 1
+        keys = self.rows * n + self.indices
+        out = []
+        for p in range(self.grid.n_particles):
+            data = _on_pattern(keys, momentum_matrix(self.grid, p))
+            data.flags.writeable = False
+            out.append(data)
+        return tuple(out)
+
+
+def _keys(mat: sp.spmatrix) -> np.ndarray:
+    """Row-major position of each stored entry of a square matrix."""
+    coo = mat.tocoo()
+    return coo.row.astype(np.int64) * mat.shape[1] + coo.col
+
+
+def _on_pattern(keys: np.ndarray, mat: sp.spmatrix) -> np.ndarray:
+    """mat's entries as data on the pattern with sorted positions keys."""
+    coo = mat.tocoo()
+    data = np.zeros(keys.size, dtype=complex)
+    data[np.searchsorted(keys, _keys(coo))] = coo.data
+    return data
+
 
 @per_model
 def hz_pattern(spec: ModelSpec) -> HzPattern:
     """H_z's sparsity pattern, with K_0 (the Laplacian plus the external
-    potential) and each P_p as data on it; built once per model
-    (model.per_model)."""
+    potential) as data on it; built once per model (model.per_model).
+    P_p's entries need no room of their own: on an axis of G > 1 points
+    they are the Laplacian's off-diagonal entries along it, and on a
+    frozen site P_p is zero."""
     grid = spec.grid
     n = grid.total_points
     k0 = kinetic_matrix(spec) + sp.diags(spec.external_potential)
-    moms = [momentum_matrix(grid, p) for p in range(grid.n_particles)]
-
-    def keys(mat):  # row-major position of each stored entry
-        coo = mat.tocoo()
-        return coo.row.astype(np.int64) * n + coo.col
-
-    def on_pattern(mat):
-        data = np.zeros(union.size, dtype=complex)
-        data[np.searchsorted(union, keys(mat))] = mat.data
-        return data
-
     diag_keys = np.arange(n, dtype=np.int64) * (n + 1)
-    union = np.unique(np.concatenate([keys(k0), diag_keys]
-                                     + [keys(m) for m in moms]))
+    union = np.unique(np.concatenate([_keys(k0), diag_keys]))
     rows, cols = np.divmod(union, n)
     # scipy picks the index dtype of the arrays K_0 and every H_z share
     layout = sp.csr_matrix((np.zeros(union.size), (rows, cols)),
                            shape=(n, n))
     pattern = HzPattern(
         indices=layout.indices, indptr=layout.indptr, rows=rows,
-        diagonal=np.searchsorted(union, diag_keys), k0_data=on_pattern(k0),
-        momentum=tuple(on_pattern(m) for m in moms))
+        diagonal=np.searchsorted(union, diag_keys),
+        k0_data=_on_pattern(union, k0), grid=grid)
     for arr in (pattern.indices, pattern.indptr, pattern.rows,
-                pattern.diagonal, pattern.k0_data, *pattern.momentum):
+                pattern.diagonal, pattern.k0_data):
         arr.flags.writeable = False
     return pattern
 

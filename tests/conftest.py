@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from qcfield import (alternating_minimize, build_dispersion,
                      build_field_modes, build_particle_grid, make_model,
-                     pauli_fierz_form_factor, pekar_minimize)
+                     minimize, pauli_fierz_form_factor, pekar_minimize)
 from qcfield.presets import (cosine_coupled_reference, decoupled_reference,
                              frozen_minimal_coupling, frozen_mode_reference,
                              small_minimal_coupling, small_nelson,
@@ -92,3 +93,34 @@ def decoupled_pekar(decoupled):
 def soliton():
     """soliton_polaron, one model per grid size."""
     return functools.cache(soliton_polaron)
+
+
+@pytest.fixture(scope="session")
+def spy_lobpcg():
+    """A context manager that yields the list of (work dtype, start dtype,
+    steps) of every minimize._lobpcg run inside it, in order; a step
+    applies the preconditioner once.  Session-scoped, so module fixtures
+    can record a solve once for several tests."""
+
+    @contextlib.contextmanager
+    def spy():
+        runs = []
+        lobpcg = minimize._lobpcg
+
+        def recorded(work, start, preconditioner, tol):
+            steps = 0
+
+            def counted(x):
+                nonlocal steps
+                steps += 1
+                return preconditioner(x)
+
+            result = lobpcg(work, start, counted, tol)
+            runs.append((work.dtype, start.dtype, steps))
+            return result
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(minimize, "_lobpcg", recorded)
+            yield runs
+
+    return spy

@@ -11,8 +11,9 @@ from qcfield import (CapacityError, TruncationError, alternating_minimize,
                      ground_energy_eps, ground_state_eps, ladder_operators,
                      required_n_max, random_wavefunction, shell_rule_n_max,
                      stability_lower_bound, trial_energy)
-from qcfield import fock, minimize
+from qcfield import fock, minimize, presets
 from qcfield.fock import coherent_fock_coefficients
+from qcfield.minimize import k0_preconditioner
 from qcfield.presets import small_polaron, two_particle_nelson
 from qcfield.qc_energy import momentum_matrix
 
@@ -389,6 +390,19 @@ def _inverts_uncoupled_operator(spec, basis, eps, precond):
     return np.allclose(uncoupled @ y - sigma * y, x, atol=1e-10)
 
 
+def _frame_h_eps(spec, basis, eps):
+    """H_eps in the model's real mode frame, as the sweep solves it."""
+    return fock._assemble_h_eps(spec, basis, eps, *fock._frame_tables(spec))
+
+
+def _frame_alpha(spec, eps, z):
+    """The coherent amplitudes alpha_j = sqrt(w_j) z_j / sqrt(eps) of the
+    model's modes, carried to the real mode frame's as V^T alpha."""
+    alpha = np.sqrt(spec.modes.weights) * z.values / np.sqrt(eps)
+    v = fock._real_mode_frame(spec)
+    return alpha if v is None else v.T @ alpha
+
+
 def _spy_solves(monkeypatch):
     """(preconditioner, start) of every sweep solve, in order."""
     solves = []
@@ -423,11 +437,11 @@ def test_preconditioned_sweep_matches_unpreconditioned_solve(
             grid_pts <= max(basis.dim, minimize.DENSE_EIG_CUTOFF))
         h = assemble_h_eps(spec, basis, row.epsilon)
         if row is rep.rows[0]:
-            # psi_ref (x) the coherent state of z_ref, psi_ref the ground
-            # state of H_(z_ref)
+            # psi_ref (x) the coherent state of z_ref in the real mode
+            # frame, psi_ref the ground state of H_(z_ref)
             _, psi = ground_eigenpair(assemble_hz(spec, ref.z_star))
-            coeffs, _ = coherent_fock_coefficients(spec, basis, row.epsilon,
-                                                   ref.z_star)
+            coeffs, _ = fock._coherent_coefficients(
+                basis, _frame_alpha(spec, row.epsilon, ref.z_star))
             expected = np.kron(psi.values, coeffs)
             assert abs(np.vdot(expected, start)) >= (1 - 1e-12) \
                 * np.linalg.norm(expected) * np.linalg.norm(start)
@@ -441,7 +455,8 @@ def test_preconditioned_sweep_matches_unpreconditioned_solve(
             lead = lead.ravel() / np.linalg.norm(lead)
             assert np.linalg.norm(prev_h @ lead - prev_e * lead) <= 1e-8
         energy, _ = ground_energy_eps(h)
-        prev_h, prev_e, prev_dim = h, energy, basis.dim
+        prev_h = _frame_h_eps(spec, basis, row.epsilon)
+        prev_e, prev_dim = energy, basis.dim
         prev_eps = row.epsilon
         assert row.energy == pytest.approx(energy, abs=1e-10)
 
@@ -461,37 +476,25 @@ def _modes_model():
     return make_model("nelson", grid, modes, disp, form, "zero")
 
 
-def _spy_lobpcg(monkeypatch):
-    """(matrix dtype, start dtype, steps) of every LOBPCG solve; a step
-    applies the preconditioner once."""
-    runs = []
-    lobpcg = minimize._lobpcg
-
-    def spy(work, start, preconditioner, tol):
-        steps = [0]
-
-        def counted(x):
-            steps[0] += 1
-            return preconditioner(x)
-
-        result = lobpcg(work, start, counted, tol)
-        runs.append((work.dtype, start.dtype, steps[0]))
-        return result
-
-    monkeypatch.setattr(minimize, "_lobpcg", spy)
-    return runs
-
-
 @pytest.fixture(scope="module")
-def modes_sweep():
+def modes_sweep(spy_lobpcg):
     """The six-mode sweep at eps = (0.5, 0.25, 0.125) with its LOBPCG
     runs."""
     spec = _modes_model()
     ref = alternating_minimize(spec)
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        runs = _spy_lobpcg(monkeypatch)
+    with spy_lobpcg() as runs:
         epsilon_sweep(spec, [0.5, 0.25, 0.125], ref.energy, ref.z_star)
     return runs
+
+
+@pytest.fixture(scope="module")
+def polaron_sweep(polaron_small, spy_lobpcg):
+    """The polaron sweep at eps = (0.65, 0.5) with its LOBPCG runs."""
+    ref = alternating_minimize(polaron_small)
+    with spy_lobpcg() as runs:
+        rep = epsilon_sweep(polaron_small, [0.65, 0.5], ref.energy,
+                            ref.z_star)
+    return rep, runs
 
 
 def test_sweep_starts_real_on_real_h_eps(modes_sweep):
@@ -503,18 +506,99 @@ def test_sweep_starts_real_on_real_h_eps(modes_sweep):
         assert work_dtype == np.float64 and start_dtype == np.float64
 
 
-def test_classical_starts_cut_lobpcg_steps(modes_sweep, polaron_small,
-                                           monkeypatch):
+def test_classical_starts_cut_lobpcg_steps(modes_sweep, polaron_sweep):
     """Starting each sweep from the coherent state of the classical field,
     rescaled from point to point, bounds the LOBPCG steps: the six-mode
     sweep took 92 steps and the polaron sweep at eps = (0.65, 0.5) 101
     from the all-ones vector and the padded previous vector."""
     assert sum(steps for _, _, steps in modes_sweep) <= 65
-    ref = alternating_minimize(polaron_small)
-    runs = _spy_lobpcg(monkeypatch)
-    epsilon_sweep(polaron_small, [0.65, 0.5], ref.energy, ref.z_star)
+    _, runs = polaron_sweep
     assert len(runs) == 2
     assert sum(steps for _, _, steps in runs) <= 90
+
+
+def test_polaron_sweep_runs_real_in_its_frame(polaron_small, polaron_sweep):
+    """The polaron's +-k mode pairs give it a real mode frame: both sweep
+    points run LOBPCG in float64 (on at most 90 steps in all, checked
+    above), and each energy is the ground energy of the complex H_eps of
+    the model's own modes."""
+    rep, runs = polaron_sweep
+    assert [run[:2] for run in runs] == [(np.float64, np.float64)] * 2
+    for row in rep.rows:
+        basis = build_fock_basis(polaron_small.n_modes, row.n_max)
+        h = assemble_h_eps(polaron_small, basis, row.epsilon)
+        assert np.any(h.data.imag)
+        energy, _ = ground_energy_eps(h, preconditioner=k0_preconditioner(
+            polaron_small,
+            dgamma(basis, polaron_small.dispersion, row.epsilon).diagonal()))
+        assert row.energy == pytest.approx(energy, abs=1e-10)
+
+
+@pytest.mark.parametrize("make", [
+    small_polaron, lambda: small_polaron(alpha=0.2),
+    lambda: presets.soliton_polaron(64)],
+    ids=["small_polaron", "small_polaron_alpha_0.2", "soliton_polaron_64"])
+def test_real_mode_frame(make):
+    """V is unitary, mixes only modes of equal omega, and makes every
+    weighted table Lambda = sqrt(w) lambda real to 64 eps_mach max|Lambda|
+    (soliton_polaron(64): one group of K = 49 modes)."""
+    spec = make()
+    v = fock._real_mode_frame(spec)
+    k, omega = spec.n_modes, spec.dispersion.values
+    assert np.max(np.abs(v.conj().T @ v - np.eye(k))) <= 1e-14
+    assert not np.any(v[omega[:, None] != omega[None, :]])
+    lam = np.vstack(spec.form_factor.tables) * np.sqrt(spec.modes.weights)
+    assert np.max(np.abs((lam @ v).imag)) \
+        <= 64 * np.finfo(float).eps * np.max(np.abs(lam))
+
+
+@pytest.mark.parametrize("name", ["small_nelson", "two_particle_nelson",
+                                  "cosine_coupled_reference",
+                                  "decoupled_reference"])
+def test_real_mode_frame_is_none_without_conjugate_pairs(name):
+    """One complex plane wave per omega admits no real frame, and a real
+    table needs none."""
+    assert fock._real_mode_frame(getattr(presets, name)()) is None
+
+
+def test_frame_rotates_h_eps_and_start_together(polaron_small):
+    """The frame's H_eps is real with the spectrum of the model's own, and
+    the coherent start psi (x) |V^T alpha> has in it the energy that
+    psi (x) |alpha> has in the model's modes."""
+    eps, basis = 0.5, build_fock_basis(polaron_small.n_modes, 4)
+    h = assemble_h_eps(polaron_small, basis, eps)
+    h_frame = _frame_h_eps(polaron_small, basis, eps)
+    assert h_frame.dtype == np.float64
+    assert np.allclose(np.linalg.eigvalsh(h_frame.toarray()),
+                       np.linalg.eigvalsh(h.toarray()), rtol=0, atol=1e-12)
+    ref = alternating_minimize(polaron_small)
+    psi = ref.psi_star.values
+    coeffs, _ = coherent_fock_coefficients(polaron_small, basis, eps,
+                                           ref.z_star)
+    frame_coeffs, _ = fock._coherent_coefficients(
+        basis, _frame_alpha(polaron_small, eps, ref.z_star))
+    x, y = np.kron(psi, coeffs), np.kron(psi, frame_coeffs)
+    assert np.vdot(y, y).real == pytest.approx(np.vdot(x, x).real,
+                                               rel=1e-12)
+    assert (np.vdot(y, h_frame @ y) / np.vdot(y, y)).real == pytest.approx(
+        (np.vdot(x, h @ x) / np.vdot(x, x)).real, abs=1e-12)
+
+
+def test_h_eps_krons_store_no_zeros(frozen_mode, monkeypatch):
+    """A frozen site with zero potential stores one zero in K_0; H_eps
+    drops it before the Kronecker product, which would repeat it F
+    times."""
+    assert not np.all(assemble_k0(frozen_mode).matrix.data)
+    made = []
+    kron = sp.kron
+
+    def spy(*args, **kwargs):
+        made.append(kron(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(sp, "kron", spy)
+    assemble_h_eps(frozen_mode, build_fock_basis(1, 6), 0.5)
+    assert made and all(np.all(m.data) for m in made)
 
 
 def test_sweep_falls_back_to_all_ones_start(decoupled, decoupled_min,
@@ -612,4 +696,6 @@ def test_ground_state_eps_preconditions_when_grid_within_fock_dimension(
     h = assemble_h_eps(spec, basis, 0.5)
     expected, _ = ground_energy_eps(h)
     assert energy == pytest.approx(expected, abs=1e-10)
+    # the vector is in the occupation basis of the real mode frame
+    h = _frame_h_eps(spec, basis, 0.5)
     assert np.linalg.norm(h @ vec - energy * vec) <= 1e-9

@@ -12,9 +12,9 @@ import scipy.sparse as sp
 
 from qcfield import (assemble_hz, assemble_k0, build_dispersion,
                      build_field_modes, build_particle_grid, coupling,
-                     eta_pekar, field_z, load_model, make_model, minimize,
-                     nelson_form_factor, pauli_fierz_form_factor, presets,
-                     random_wavefunction)
+                     eta_pekar, field_z, fock, load_model, make_model,
+                     minimize, nelson_form_factor, pauli_fierz_form_factor,
+                     presets, random_wavefunction)
 from qcfield.errors import SolverError
 from qcfield.model import per_model
 from qcfield.qc_energy import (complex_normal, effective_potential,
@@ -194,6 +194,24 @@ def test_minimal_b_vector_reuses_the_patterns_momentum(monkeypatch, pf_pair):
     assert len(calls) <= pf_pair.grid.n_particles
 
 
+def test_linear_coupling_builds_no_momentum_data(monkeypatch):
+    """Only minimal coupling reads P_p on the pattern: minimizing a linearly
+    coupled model, and sweeping it, builds no momentum matrix for it."""
+    calls = []
+    original = qce.momentum_matrix
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(qce, "momentum_matrix", counted)
+    spec = presets.two_particle_nelson()
+    ref = minimize.alternating_minimize(spec)
+    minimize.pekar_minimize(spec)
+    assert calls == []
+    assert "momentum" not in vars(hz_pattern(spec))
+    assert ref.converged
+
+
 @pytest.mark.parametrize("make", [presets.small_minimal_coupling,
                                   presets.frozen_minimal_coupling,
                                   pauli_fierz_pair])
@@ -231,7 +249,8 @@ def test_k0_is_built_on_the_hz_pattern(name):
 def test_per_model_builders_return_the_same_object():
     spec = presets.small_polaron()
     for build in (assemble_k0, hz_pattern, minimize._k0_eigh,
-                  minimize._k0_ground, minimize._k0_factor):
+                  minimize._k0_ground, minimize._k0_factor,
+                  fock._real_mode_frame):
         assert build(spec) is build(spec)
 
 

@@ -223,6 +223,24 @@ def test_lobpcg_real_arithmetic_h_eps(modes_h_eps_preconditioned, paths):
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_real_operator_reaches_lobpcg_as_given(modes_h_eps_preconditioned,
+                                              monkeypatch):
+    """A float64 H_eps is solved in real arithmetic without a real-part
+    copy: LOBPCG receives the operator object itself."""
+    h, precond = modes_h_eps_preconditioned
+    assert h.dtype == np.float64
+    seen = []
+    lobpcg = minimize._lobpcg
+
+    def spy(work, *args):
+        seen.append(work)
+        return lobpcg(work, *args)
+
+    monkeypatch.setattr(minimize, "_lobpcg", spy)
+    ground_energy_eps(h, preconditioner=precond)
+    assert len(seen) == 1 and seen[0] is h
+
+
 def test_lobpcg_exact_start_returns_it(polaron_h_eps_preconditioned, paths):
     """A start that is already the ground vector has a residual below the
     tolerance: LOBPCG returns it without a step, so without a breakdown."""
@@ -482,28 +500,16 @@ def test_warm_started_steps_land_on_ground_state(model, monkeypatch):
         assert np.array_equal(again.eta_star.values, first.eta_star.values)
 
 
-@pytest.fixture
-def lobpcg_dtypes(monkeypatch):
-    """(operator dtype, start dtype) of each _lobpcg run during the test."""
-    ran = []
-    lobpcg = minimize._lobpcg
-
-    def spy(work, start, *args, **kwargs):
-        ran.append((work.dtype, start.dtype))
-        return lobpcg(work, start, *args, **kwargs)
-
-    monkeypatch.setattr(minimize, "_lobpcg", spy)
-    return ran
-
-
 @pytest.mark.parametrize("model", sorted(WARM_MODELS))
-def test_warm_started_steps_run_in_operator_arithmetic(model, lobpcg_dtypes):
+def test_warm_started_steps_run_in_operator_arithmetic(model, spy_lobpcg):
     """The psi-steps of alternating_minimize start from complex wave
     functions; on a real H_z each LOBPCG run is still real throughout.  The
     first run is K_0's ground state, real on every model; the H_z steps
     of the minimal-coupling model stay complex."""
     spec = WARM_MODELS[model]()
-    alternating_minimize(spec, seed=3)
+    with spy_lobpcg() as runs:
+        alternating_minimize(spec, seed=3)
+    lobpcg_dtypes = [run[:2] for run in runs]
     real, cplx = (np.float64, np.float64), (np.complex128, np.complex128)
     assert len(lobpcg_dtypes) > 1
     assert lobpcg_dtypes[0] == real
@@ -511,7 +517,8 @@ def test_warm_started_steps_run_in_operator_arithmetic(model, lobpcg_dtypes):
     assert all(run == expected for run in lobpcg_dtypes[1:])
 
 
-def test_bare_solve_makes_complex_start_real(box_2048, lobpcg_dtypes):
+def test_bare_solve_makes_complex_start_real(box_2048, spy_lobpcg):
     start = np.ones(box_2048.dim) + 1j * np.linspace(0.0, 1.0, box_2048.dim)
-    ground_eigenpair(box_2048, start=start)
-    assert lobpcg_dtypes == [(np.float64, np.float64)]
+    with spy_lobpcg() as runs:
+        ground_eigenpair(box_2048, start=start)
+    assert [run[:2] for run in runs] == [(np.float64, np.float64)]
